@@ -128,8 +128,8 @@ func isAtomicType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
-// collect sweeps the whole universe for &target arguments of sync/atomic
-// calls.
+// collect sweeps the whole universe for &target arguments of the
+// sync/atomic package functions.
 func collect(u *analysis.Universe) *atomicFacts {
 	facts := &atomicFacts{vars: make(map[*types.Var]bool), allowed: make(map[token.Pos]bool)}
 	for _, pkg := range u.Pkgs {
@@ -145,6 +145,13 @@ func collect(u *analysis.Universe) *atomicFacts {
 				}
 				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+					return true
+				}
+				// Only the package functions take their target as the first
+				// argument; a typed method's arguments are values, e.g. the
+				// &local of p.Store(&local) is published, not accessed
+				// atomically.
+				if fn.Type().(*types.Signature).Recv() != nil {
 					return true
 				}
 				addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)

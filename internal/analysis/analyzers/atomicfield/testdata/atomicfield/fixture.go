@@ -69,3 +69,28 @@ func swap(p *progress) {
 	scratch = p.rows // want "sync/atomic value" "sync/atomic value"
 	_ = scratch.Load()
 }
+
+// registry publishes a callback through the typed Pointer API, like
+// obs.Registry.Register.
+type registry struct {
+	fn atomic.Pointer[func() int]
+}
+
+// publish reads the local before handing its address to Store: &fn is the
+// stored value, not an atomic target, so the plain accesses are clean.
+func (r *registry) publish(fn func() int) {
+	if fn != nil {
+		r.fn.Store(&fn)
+	}
+	_ = fn
+}
+
+var gen uint64
+
+// bumpGen addresses gen through a package function, so gen is a real
+// atomic target and a plain read after the publishing Store still races.
+func (r *registry) bumpGen(fn func() int) uint64 {
+	r.fn.Store(&fn)
+	atomic.AddUint64(&gen, 1)
+	return gen // want "plain access to gen races"
+}

@@ -64,6 +64,7 @@ func (s *Sorter) PlanCompression(sample []*vector.Chunk) error {
 	s.enc = enc
 	s.keyWidth = enc.Width()
 	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
+	s.tieSegs = s.tieSegments()
 	return nil
 }
 

@@ -39,6 +39,7 @@ type Sorter struct {
 	layout   *row.Layout // payload layout: all schema columns
 	keyWidth int         // normalized key bytes per row
 	rowWidth int         // key row stride: keyWidth + 8-byte payload ref, 8-aligned
+	tieSegs  []tieSeg    // tie-break table for enc, shared by every comparator
 
 	mu        sync.Mutex
 	runs      []*sortedRun
@@ -238,6 +239,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		epoch:    time.Now(),
 	}
 	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
+	s.tieSegs = s.tieSegments()
 
 	// The sorter always runs under a broker — a child of the shared one
 	// when Options.Broker is set, a private root otherwise — so peak
@@ -711,46 +713,29 @@ func (s *Sorter) repairTies(keys []byte, n int, payload *row.RowSet) {
 	}
 }
 
-// comparator returns the key-row comparator: a single bytes.Compare when no
-// tie-break is needed, otherwise a segment-wise compare that resolves tied
-// lossy segments against the payload fetched through the row's reference.
-// lookup maps a payload reference to the RowSet holding it and the row's
-// index there (the streaming external merge keeps only one block of each
-// run resident, so the index is block-local).
-//
-// Per-encoding tie handling, decided per segment at build time:
-//
-//   - Full varchar / truncated varchar: tied prefixes fall back to the
-//     collated full strings (the original rule).
-//   - Dictionary: an odd (exact) code is a dictionary member, so equal codes
-//     are equal values and the payload fetch is skipped; even (escape gap)
-//     codes compare the strings.
-//   - Shared-prefix-elided fixed segments whose class-1 arm keeps the whole
-//     remaining encoding: tied class-1 segments are equal, no fetch; escape
-//     classes compare the values.
-//   - Other truncated fixed segments: compare the values through their
-//     order-preserving integer form (normkey.OrdFixed), no boxing.
-//
-// NULLs never fetch: byte-tied segments share their validity byte, so one
-// leading-byte probe classifies both rows as NULL (equal) or both valid.
-//
-//rowsort:pure
-func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) func(a, b []byte) int {
+// tieSeg is one key segment's tie-break recipe, decided once per key
+// encoding by tieSegments.
+type tieSeg struct {
+	off, end int
+	col      int // schema column, for the payload fetch
+	typ      vector.Type
+	desc     bool
+	canTie   bool
+	enc      normkey.ColumnEncoding
+	exact1   bool // EncTrunc fixed with an exact class-1 suffix
+	nullB    byte // the segment's leading byte when the value is NULL
+	coll     normkey.Collation
+}
+
+// tieSegments builds the per-segment tie-break table for the current key
+// encoding. The sorter rebuilds it whenever the encoding changes (at
+// construction and in PlanCompression), so every comparator of one sort
+// shares it.
+func (s *Sorter) tieSegments() []tieSeg {
 	keys := s.enc.Keys()
-	type seg struct {
-		off, end int
-		col      int // schema column, for the payload fetch
-		typ      vector.Type
-		desc     bool
-		canTie   bool
-		enc      normkey.ColumnEncoding
-		exact1   bool // EncTrunc fixed with an exact class-1 suffix
-		nullB    byte // the segment's leading byte when the value is NULL
-		coll     normkey.Collation
-	}
-	segs := make([]seg, len(keys))
+	segs := make([]tieSeg, len(keys))
 	for i, nk := range keys {
-		sg := seg{
+		sg := tieSeg{
 			off:    s.enc.Offset(i),
 			col:    nk.Column,
 			typ:    nk.Type,
@@ -778,69 +763,100 @@ func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) f
 		}
 		segs[i] = sg
 	}
-	return func(a, b []byte) int {
-		for _, sg := range segs {
-			c := compareBytes(a[sg.off:sg.end], b[sg.off:sg.end])
-			if c != 0 {
-				return c
-			}
-			if !sg.canTie {
-				continue
-			}
-			// Segment bytes tied; both rows share the validity byte, so
-			// they are both NULL (equal) or both valid.
-			if a[sg.off] == sg.nullB {
-				continue
-			}
-			switch sg.enc {
-			case normkey.EncDict:
-				last := a[sg.end-1]
-				if sg.desc {
-					last = ^last
-				}
-				if last&1 == 1 {
-					continue // exact code: equal dictionary members
-				}
-			case normkey.EncTrunc:
-				if sg.exact1 {
-					cls := a[sg.off+1]
-					if sg.desc {
-						cls = ^cls
-					}
-					if cls == 1 {
-						continue // the whole remaining encoding was kept
-					}
-				}
-			}
-			ra, ia := s.getRef(a)
-			rb, ib := s.getRef(b)
-			pa, la := lookup(ra, ia)
-			pb, lb := lookup(rb, ib)
-			if sg.typ == vector.Varchar {
-				sa := sg.coll.Apply(pa.String(la, sg.col))
-				sb := sg.coll.Apply(pb.String(lb, sg.col))
-				c = compareStrings(sa, sb)
-			} else {
-				ua := normkey.OrdFixed(sg.typ, pa.Row(la)[pa.Layout().Offset(sg.col):])
-				ub := normkey.OrdFixed(sg.typ, pb.Row(lb)[pb.Layout().Offset(sg.col):])
-				switch {
-				case ua < ub:
-					c = -1
-				case ua > ub:
-					c = 1
-				default:
-					c = 0
-				}
-			}
+	return segs
+}
+
+// comparator returns the key-row comparator: a segment-wise compare that
+// resolves tied lossy segments against the payload fetched through the
+// row's reference. lookup maps a payload reference to the RowSet holding it
+// and the row's index there (the streaming external merge keeps only one
+// block of each run resident, so the index is block-local).
+func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) func(a, b []byte) int {
+	return (&tieComparator{s: s, segs: s.tieSegs, lookup: lookup}).compare
+}
+
+// tieComparator is the semantic key-row comparator of one sort.
+type tieComparator struct {
+	s      *Sorter
+	segs   []tieSeg
+	lookup func(runID, idx uint32) (*row.RowSet, int)
+}
+
+// compare orders two key rows. Per-encoding tie handling, decided per
+// segment by tieSegments:
+//
+//   - Full varchar / truncated varchar: tied prefixes fall back to the
+//     collated full strings, compared in place in the payload heap.
+//   - Dictionary: an odd (exact) code is a dictionary member, so equal codes
+//     are equal values and the payload fetch is skipped; even (escape gap)
+//     codes compare the strings.
+//   - Shared-prefix-elided fixed segments whose class-1 arm keeps the whole
+//     remaining encoding: tied class-1 segments are equal, no fetch; escape
+//     classes compare the values.
+//   - Other truncated fixed segments: compare the values through their
+//     order-preserving integer form (normkey.OrdFixed), no boxing.
+//
+// NULLs never fetch: byte-tied segments share their validity byte, so one
+// leading-byte probe classifies both rows as NULL (equal) or both valid.
+//
+//rowsort:pure
+//rowsort:hotpath
+func (t *tieComparator) compare(a, b []byte) int {
+	for _, sg := range t.segs {
+		c := compareBytes(a[sg.off:sg.end], b[sg.off:sg.end])
+		if c != 0 {
+			return c
+		}
+		if !sg.canTie {
+			continue
+		}
+		// Segment bytes tied; both rows share the validity byte, so
+		// they are both NULL (equal) or both valid.
+		if a[sg.off] == sg.nullB {
+			continue
+		}
+		switch sg.enc {
+		case normkey.EncDict:
+			last := a[sg.end-1]
 			if sg.desc {
-				c = -c
+				last = ^last
 			}
-			if c != 0 {
-				return c
+			if last&1 == 1 {
+				continue // exact code: equal dictionary members
+			}
+		case normkey.EncTrunc:
+			if sg.exact1 {
+				cls := a[sg.off+1]
+				if sg.desc {
+					cls = ^cls
+				}
+				if cls == 1 {
+					continue // the whole remaining encoding was kept
+				}
 			}
 		}
-		return 0
+		pa, la := t.lookup(t.s.getRef(a))
+		pb, lb := t.lookup(t.s.getRef(b))
+		if sg.typ == vector.Varchar {
+			c = sg.coll.Compare(pa.StringBytes(la, sg.col), pb.StringBytes(lb, sg.col))
+		} else {
+			ua := normkey.OrdFixed(sg.typ, pa.Row(la)[pa.Layout().Offset(sg.col):])
+			ub := normkey.OrdFixed(sg.typ, pb.Row(lb)[pb.Layout().Offset(sg.col):])
+			switch {
+			case ua < ub:
+				c = -1
+			case ua > ub:
+				c = 1
+			}
+		}
+		if sg.desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
 	}
+	return 0
 }
 
 //rowsort:pure
@@ -867,18 +883,6 @@ func (s *Sorter) ovcSafeWidth(anyTieBreak bool) int {
 		}
 	}
 	return s.keyWidth
-}
-
-//rowsort:pure
-func compareStrings(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Finalize merges all sorted runs into one. The default is a single-pass

@@ -105,9 +105,11 @@ type Options struct {
 	// applicable (for the algorithm-choice ablation).
 	ForcePdqsort bool
 	// Adaptive replaces the paper's fixed "radix unless strings" rule with
-	// the Future Work heuristic: per run, choose pdqsort when the input
-	// samples as nearly sorted or the effective key width is large relative
-	// to log2(n), else radix sort. Ignored when ForcePdqsort is set or a
+	// a sampled strategy plan per run: at every run cut the sink samples
+	// the pending key rows (strategy.Analyze) and the planner picks LSD
+	// radix, MSD radix, pdqsort or the duplicate-group sort from the
+	// perfmodel run-cost curves, plus the run's spill block shape, key
+	// front coding and merge role. Ignored when ForcePdqsort is set or a
 	// tie-break forces pdqsort anyway.
 	Adaptive bool
 	// SpillDir, when non-empty, writes sorted runs to files in this

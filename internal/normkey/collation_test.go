@@ -3,6 +3,7 @@ package normkey
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rowsort/internal/vector"
@@ -77,4 +78,79 @@ func TestNoCaseCompareRowsAgreesWithEncoding(t *testing.T) {
 				i, v.Strings()[i], j, v.Strings()[j], got, want)
 		}
 	}
+}
+
+// checkCollationCompare asserts Collation.Compare agrees in sign with the
+// allocating reference strings.Compare(c.Apply(a), c.Apply(b)), in both
+// argument orders, for both collations.
+func checkCollationCompare(t *testing.T, a, b string) {
+	t.Helper()
+	for _, c := range []Collation{CollationBinary, CollationNoCase} {
+		want := strings.Compare(c.Apply(a), c.Apply(b))
+		if got := sign(c.Compare([]byte(a), []byte(b))); got != want {
+			t.Fatalf("collation %d: Compare(%q, %q) = %d, want %d", c, a, b, got, want)
+		}
+		if got := sign(c.Compare([]byte(b), []byte(a))); got != -want {
+			t.Fatalf("collation %d: Compare(%q, %q) = %d, want %d", c, b, a, got, -want)
+		}
+	}
+}
+
+func TestCollationCompareMatchesApply(t *testing.T) {
+	pairs := [][2]string{
+		{"", ""},
+		{"", "a"},
+		{"", "\x00"},
+		{"abc", "abc"},
+		{"abc", "abcd"},          // prefix
+		{"ABC", "abcd"},          // prefix only after folding
+		{"abc", "ABC"},           // equal under NOCASE only
+		{"apple", "Banana"},      // folding flips the binary order
+		{"a\x00b", "a\x00c"},     // embedded NUL
+		{"a\x00", "a"},           // NUL-extended prefix
+		{"[", "a"},               // '[' sorts after 'A'..'Z' but before 'a'
+		{"_", "A"},               // '_' sorts between 'Z' and 'a'
+		{"@", "a"},               // the byte below 'A'
+		{"Z", "z"},               // the last folded letter
+		{"\xc3\xa9", "\xc3\x89"}, // bytes >= 0x80 are not folded
+		{"\x80", "\x7f"},
+		{"\xff\xfe", "\xffA"},
+		{"https://shop.example.com/Item/1", "https://shop.example.com/item/2"},
+	}
+	for _, p := range pairs {
+		checkCollationCompare(t, p[0], p[1])
+	}
+	rng := rand.New(rand.NewSource(131))
+	alphabet := "aAzZ@[`{\x00\x7f\x80\xff"
+	for trial := 0; trial < 5000; trial++ {
+		gen := func() string {
+			b := make([]byte, rng.Intn(6))
+			for i := range b {
+				b[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+			return string(b)
+		}
+		checkCollationCompare(t, gen(), gen())
+	}
+}
+
+// TestCollationCompareAllocatesNothing pins the in-place comparison the
+// sorter's tie-break relies on: NOCASE must fold without materializing.
+func TestCollationCompareAllocatesNothing(t *testing.T) {
+	a, b := []byte("HTTPS://Shop.Example.COM/x"), []byte("https://shop.example.com/y")
+	for _, c := range []Collation{CollationBinary, CollationNoCase} {
+		if n := testing.AllocsPerRun(100, func() { _ = c.Compare(a, b) }); n != 0 {
+			t.Fatalf("collation %d: Compare allocates %v per call, want 0", c, n)
+		}
+	}
+}
+
+func FuzzCollationCompare(f *testing.F) {
+	f.Add("", "")
+	f.Add("abc", "ABCD")
+	f.Add("a\x00b", "A\x00")
+	f.Add("\xc3\xa9", "\xc3\x89")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkCollationCompare(t, a, b)
+	})
 }

@@ -24,6 +24,7 @@
 package normkey
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -108,6 +109,42 @@ func (c Collation) Apply(s string) string {
 	}
 	//rowsort:allow hotpathalloc the rewritten collated string must not alias the mutable scratch buffer
 	return string(b)
+}
+
+// Compare orders a and b under the collation without allocating: its sign
+// equals strings.Compare(c.Apply(string(a)), c.Apply(string(b))). NOCASE
+// folds ASCII upper case byte by byte, which preserves lengths, so a
+// string that is a prefix of the other after folding sorts first.
+//
+//rowsort:pure
+func (c Collation) Compare(a, b []byte) int {
+	if c != CollationNoCase {
+		return bytes.Compare(a, b)
+	}
+	for i := range min(len(a), len(b)) {
+		if x, y := foldASCII(a[i]), foldASCII(b[i]); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
+}
+
+// foldASCII lower-cases one ASCII letter and leaves every other byte,
+// including UTF-8 bytes at or above 0x80, unchanged.
+func foldASCII(b byte) byte {
+	if b >= 'A' && b <= 'Z' {
+		return b + 'a' - 'A'
+	}
+	return b
 }
 
 // DefaultStringPrefixLen is the number of string bytes encoded into the

@@ -14,21 +14,71 @@ import (
 // policy for free: when retaining a buffer would push the broker over
 // budget, the pool drops it for the garbage collector instead of keeping
 // it warm.
+//
+// The pools are bounded free lists rather than sync.Pools: a sync.Pool
+// drops items at every garbage collection (and at random under the race
+// detector) without telling the pool, so their charge would stay on the
+// broker as phantom bytes. Here an item leaves only through Get, which
+// returns its charge, so the reservation always equals the idle capacity.
+
+// maxIdle bounds the items one pool keeps. A sorter's buffers cycle
+// through its pools about one run at a time per sink, so a few idle items
+// per thread suffice; items beyond the bound go to the garbage collector.
+const maxIdle = 16
+
+// freeList is a bounded LIFO of idle items whose capacity, as reported by
+// size, is charged to res while they are parked.
+type freeList[T any] struct {
+	res   *mem.Reservation
+	size  func(T) int64
+	mu    sync.Mutex
+	items []T
+}
+
+// get pops the most recently parked item and returns its charge.
+func (f *freeList[T]) get() (T, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var zero T
+	n := len(f.items)
+	if n == 0 {
+		return zero, false
+	}
+	it := f.items[n-1]
+	f.items[n-1] = zero
+	f.items = f.items[:n-1]
+	f.res.Shrink(f.size(it))
+	return it, true
+}
+
+// put parks it and charges its size, unless the list is full or the
+// charge would overrun the budget; then it is left to the GC.
+func (f *freeList[T]) put(it T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.items) >= maxIdle {
+		return
+	}
+	if size := f.size(it); !f.res.Grow(size) {
+		f.res.Shrink(size)
+		return
+	}
+	f.items = append(f.items, it)
+}
 
 // SetPool recycles RowSets of one layout. The zero value is unusable;
 // construct with NewSetPool. A nil *SetPool is a valid no-op source that
 // always allocates fresh sets (and discards returned ones).
 type SetPool struct {
 	layout *Layout
-	res    *mem.Reservation
-	pool   sync.Pool
+	free   freeList[*RowSet]
 }
 
 // NewSetPool returns a pool producing RowSets with the given layout. res
 // (which may be nil for unaccounted pooling) is charged with the capacity
 // of every idle set the pool holds.
 func NewSetPool(layout *Layout, res *mem.Reservation) *SetPool {
-	return &SetPool{layout: layout, res: res}
+	return &SetPool{layout: layout, free: freeList[*RowSet]{res: res, size: (*RowSet).CapBytes}}
 }
 
 // Get returns an empty RowSet, recycled when one is pooled.
@@ -36,8 +86,7 @@ func (p *SetPool) Get() *RowSet {
 	if p == nil {
 		return nil
 	}
-	if rs, ok := p.pool.Get().(*RowSet); ok {
-		p.res.Shrink(rs.CapBytes())
+	if rs, ok := p.free.get(); ok {
 		return rs
 	}
 	return NewRowSet(p.layout)
@@ -50,26 +99,20 @@ func (p *SetPool) Put(rs *RowSet) {
 		return
 	}
 	rs.Reset()
-	c := rs.CapBytes()
-	if !p.res.Grow(c) {
-		p.res.Shrink(c)
-		return
-	}
-	p.pool.Put(rs)
+	p.free.put(rs)
 }
 
 // BufPool recycles byte buffers (the sorter's key-row buffers) with the
 // same accounting and pressure policy as SetPool. A nil *BufPool always
 // allocates and never retains.
 type BufPool struct {
-	res  *mem.Reservation
-	pool sync.Pool
+	free freeList[[]byte]
 }
 
 // NewBufPool returns a buffer pool charging res (may be nil) with the
 // capacity of every idle buffer it holds.
 func NewBufPool(res *mem.Reservation) *BufPool {
-	return &BufPool{res: res}
+	return &BufPool{free: freeList[[]byte]{res: res, size: func(b []byte) int64 { return int64(cap(b)) }}}
 }
 
 // Get returns an empty (length-0) buffer, recycled when one is pooled.
@@ -77,11 +120,8 @@ func (p *BufPool) Get() []byte {
 	if p == nil {
 		return nil
 	}
-	if b, ok := p.pool.Get().(*[]byte); ok {
-		p.res.Shrink(int64(cap(*b)))
-		return (*b)[:0]
-	}
-	return nil
+	b, _ := p.free.get()
+	return b[:0]
 }
 
 // Put recycles a buffer whose contents are dead; under budget pressure it
@@ -90,11 +130,5 @@ func (p *BufPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
 	}
-	c := int64(cap(b))
-	if !p.res.Grow(c) {
-		p.res.Shrink(c)
-		return
-	}
-	b = b[:0]
-	p.pool.Put(&b)
+	p.free.put(b[:0])
 }

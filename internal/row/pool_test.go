@@ -1,6 +1,7 @@
 package row
 
 import (
+	"runtime"
 	"testing"
 
 	"rowsort/internal/mem"
@@ -90,6 +91,60 @@ func TestBufPoolAccounting(t *testing.T) {
 	}
 	if res.Bytes() != 0 {
 		t.Fatalf("reservation holds %d bytes after Get, want 0", res.Bytes())
+	}
+}
+
+// TestPoolChargeSurvivesGC pins the broker balance across garbage
+// collections: pooled items stay pooled, so every charge Put made is
+// returned by a Get, and an emptied pool leaves no phantom bytes behind.
+func TestPoolChargeSurvivesGC(t *testing.T) {
+	b := mem.NewBroker("test", 1<<30)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	sets := NewSetPool(NewLayout([]vector.Type{vector.Int64}), res)
+	bufs := NewBufPool(res)
+	for round := 0; round < 5; round++ {
+		rs := NewRowSet(NewLayout([]vector.Type{vector.Int64}))
+		v := vector.NewDense(vector.Int64, 256)
+		if err := rs.AppendChunk([]*vector.Vector{v}); err != nil {
+			t.Fatal(err)
+		}
+		sets.Put(rs)
+		bufs.Put(make([]byte, 0, 4096))
+		runtime.GC()
+		runtime.GC()
+		if got := sets.Get(); got != rs {
+			t.Fatalf("round %d: pooled set lost across GC", round)
+		}
+		if got := bufs.Get(); cap(got) != 4096 {
+			t.Fatalf("round %d: pooled buffer lost across GC (cap %d)", round, cap(got))
+		}
+		if res.Bytes() != 0 || b.Used() != 0 {
+			t.Fatalf("round %d: %d bytes still charged (broker %d) with nothing pooled", round, res.Bytes(), b.Used())
+		}
+	}
+}
+
+// TestBufPoolBounded pins the idle bound: Puts beyond maxIdle are dropped
+// uncharged, and draining the pool returns exactly what it charged.
+func TestBufPoolBounded(t *testing.T) {
+	b := mem.NewBroker("test", 1<<30)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	p := NewBufPool(res)
+	for i := 0; i < 2*maxIdle; i++ {
+		p.Put(make([]byte, 0, 100))
+	}
+	if got := res.Bytes(); got != maxIdle*100 {
+		t.Fatalf("pool charged %d bytes, want %d for %d idle buffers", got, maxIdle*100, maxIdle)
+	}
+	for i := 0; i < maxIdle; i++ {
+		if cap(p.Get()) != 100 {
+			t.Fatalf("Get %d did not recycle a pooled buffer", i)
+		}
+	}
+	if cap(p.Get()) != 0 || res.Bytes() != 0 {
+		t.Fatalf("drained pool: %d bytes still charged", res.Bytes())
 	}
 }
 

@@ -189,6 +189,33 @@ func TestValueAndStringAccessors(t *testing.T) {
 	}
 }
 
+// TestStringBytesIsCappedView pins StringBytes as a no-copy view: same
+// bytes as String, no allocation, and a capacity that ends at the value so
+// appending to it copies instead of overwriting the next heap value.
+func TestStringBytesIsCappedView(t *testing.T) {
+	rs := NewRowSet(NewLayout([]vector.Type{vector.Varchar}))
+	s := vector.New(vector.Varchar, 3)
+	s.AppendString("abc")
+	s.AppendString("")
+	s.AppendString("xyz")
+	if err := rs.AppendChunk([]*vector.Vector{s}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		b := rs.StringBytes(i, 0)
+		if string(b) != rs.String(i, 0) || cap(b) != len(b) {
+			t.Fatalf("row %d: StringBytes = %q cap %d, want %q cap %d", i, b, cap(b), rs.String(i, 0), len(b))
+		}
+	}
+	_ = append(rs.StringBytes(0, 0), "!!!"...)
+	if got := rs.String(2, 0); got != "xyz" {
+		t.Fatalf("append to a view overwrote the heap: row 2 = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = rs.StringBytes(2, 0) }); n != 0 {
+		t.Fatalf("StringBytes allocates %v per call, want 0", n)
+	}
+}
+
 func TestAppendChunkErrors(t *testing.T) {
 	rs := NewRowSet(NewLayout([]vector.Type{vector.Int32}))
 	if err := rs.AppendChunk(nil); err == nil {

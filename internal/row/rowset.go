@@ -244,12 +244,18 @@ func (rs *RowSet) scatterColumn(c int, v *vector.Vector, start int) {
 
 // String returns the string value of column c in row i. The column must be
 // a valid Varchar.
-func (rs *RowSet) String(i, c int) string {
+func (rs *RowSet) String(i, c int) string { return string(rs.StringBytes(i, c)) }
+
+// StringBytes returns the bytes of the Varchar value in column c of row i
+// as a read-only view of the row heap, without copying. The view's capacity
+// ends at the value, so appending to it cannot overwrite the heap; it is
+// valid until the RowSet is next appended to, reset or recycled.
+func (rs *RowSet) StringBytes(i, c int) []byte {
 	row := rs.Row(i)
 	off := rs.layout.offsets[c]
 	ho := binary.LittleEndian.Uint32(row[off:])
 	hl := binary.LittleEndian.Uint32(row[off+4:])
-	return string(rs.heap[ho : ho+hl])
+	return rs.heap[ho : ho+hl : ho+hl]
 }
 
 // Valid reports whether column c of row i is non-NULL.
