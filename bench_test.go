@@ -293,29 +293,3 @@ func BenchmarkAblationHybridPdq(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationAdaptive measures the Future Work algorithm-choice
-// heuristic against the paper's fixed rule on inputs where they disagree.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	n := 1 << 16
-	sortedVals := make([]uint32, n)
-	for i := range sortedVals {
-		sortedVals[i] = uint32(i)
-	}
-	tbl := workload.UintColumnsTable([][]uint32{sortedVals})
-	keys := []core.SortColumn{{Column: 0}}
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed-rule"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run("presorted/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SortTable(tbl, keys, core.Options{Threads: 1, Adaptive: adaptive}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

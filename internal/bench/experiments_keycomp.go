@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("keycomp", "Compressed normalized keys: full vs dictionary vs truncated vs RLE",
+	register("keycomp", "Compressed normalized keys: full vs dictionary vs truncated",
 		runKeyComp)
 }
 
@@ -36,7 +36,6 @@ func runKeyComp(w io.Writer, cfg Config) error {
 		{"full", 0},
 		{"dict", core.KeyCompDict},
 		{"trunc", core.KeyCompTrunc},
-		{"rle", core.KeyCompRLE},
 		{"all", core.KeyCompAll},
 	}
 	workloads := []struct {

@@ -103,15 +103,13 @@ func (c Config) trajectoryWorkloads(spillDir string) []trajectoryWorkload {
 			opt(func(o *core.Options) { o.KeyComp = core.KeyCompDict })},
 		{"prefix-trunc", true, workload.SharedPrefixStrings(n, seed), col0,
 			opt(func(o *core.Options) { o.KeyComp = core.KeyCompTrunc })},
-		{"dup-rle", true, workload.DupHeavyInts(n, 500, seed), col0,
-			opt(func(o *core.Options) { o.KeyComp = core.KeyCompRLE })},
+		{"dup-rle", true, workload.DupHeavyInts(n, 500, seed), col0, opt(nil)},
 		{"spill-ext", true, workload.CatalogSales(n, 10, seed),
 			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}},
 			opt(func(o *core.Options) { o.SpillDir = spillDir })},
 		{"budget-multipass", false, workload.UniformInt64s(n, seed), col0,
 			opt(func(o *core.Options) { o.MemoryLimit = int64(n) * 8 })},
-		{"adaptive-nearsorted", true, workload.NearlySorted(n, 0.001, seed), col0,
-			opt(func(o *core.Options) { o.Adaptive = true })},
+		{"adaptive-nearsorted", true, workload.NearlySorted(n, 0.001, seed), col0, opt(nil)},
 	}
 }
 

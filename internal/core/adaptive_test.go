@@ -17,7 +17,7 @@ func TestAdaptiveSortCorrectness(t *testing.T) {
 		cols := dist.Generate(8_000, 2, 143)
 		tbl := workload.UintColumnsTable(cols)
 		keys := []SortColumn{{Column: 0}, {Column: 1}}
-		got, err := SortTable(tbl, keys, Options{Adaptive: true, Threads: 2, RunSize: 1000})
+		got, err := SortTable(tbl, keys, Options{Threads: 2, RunSize: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestAdaptiveSortCorrectness(t *testing.T) {
 	}
 	tbl := workload.UintColumnsTable([][]uint32{sortedVals})
 	keys := []SortColumn{{Column: 0}}
-	got, err := SortTable(tbl, keys, Options{Adaptive: true, Threads: 1})
+	got, err := SortTable(tbl, keys, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAdaptiveSortCorrectness(t *testing.T) {
 }
 
 // TestStrategyDecisionsRecorded pins the decision log's shape: one entry
-// per generated run on every path (adaptive and static), run ids unique and
+// per generated run on every path (planned and forced), run ids unique and
 // in range, algorithms named, and sampled statistics present exactly when
 // the plan was sampled rather than dictated.
 func TestStrategyDecisionsRecorded(t *testing.T) {
@@ -52,8 +52,7 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 		opt    Options
 		forced string // expected Forced value, "" = sampled plan
 	}{
-		{"adaptive", Options{Adaptive: true, Threads: 2, RunSize: 1000}, ""},
-		{"static radix", Options{Threads: 2, RunSize: 1000}, "static"},
+		{"planned", Options{Threads: 2, RunSize: 1000}, ""},
 		{"forced pdqsort", Options{ForcePdqsort: true, Threads: 2, RunSize: 1000}, "option"},
 	} {
 		_, st, err := SortTableStats(tbl, keys, tc.opt)
@@ -83,8 +82,8 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 }
 
 // TestAdaptiveDupGroupWithoutRLE verifies the planner reaches the
-// duplicate-group sort from its own sampled statistics, without the static
-// KeyCompRLE configuration bit that used to gate it.
+// duplicate-group sort from its own sampled statistics, with no
+// configuration bit gating it.
 func TestAdaptiveDupGroupWithoutRLE(t *testing.T) {
 	n := 16_000
 	vals := make([]uint32, n) // sorted, 64-row duplicate groups: DupRunFrac ~ 63/64
@@ -93,7 +92,7 @@ func TestAdaptiveDupGroupWithoutRLE(t *testing.T) {
 	}
 	tbl := workload.UintColumnsTable([][]uint32{vals})
 	keys := []SortColumn{{Column: 0}}
-	got, st, err := SortTableStats(tbl, keys, Options{Adaptive: true, Threads: 1, RunSize: 2000})
+	got, st, err := SortTableStats(tbl, keys, Options{Threads: 1, RunSize: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +121,11 @@ func TestAdaptiveDupGroupWithoutRLE(t *testing.T) {
 }
 
 // TestAdaptiveFrontCodedSpillMatchesResident is the format-3 round trip:
-// an adaptive external sort (front-coded spill blocks) must produce exactly
-// the rows of the same adaptive sort run fully in memory. Run cuts and
-// planner inputs are identical (one thread, fixed run size), so the only
-// difference is the spill encode/decode under test.
+// an external sort (front-coded spill blocks) must produce exactly the rows
+// of the same sort run fully in memory — once with eager spilling (run cuts
+// and planner inputs identical: one thread, fixed run size) and once under
+// a memory budget tight enough to force intermediate merge passes, which
+// decode the spilled blocks and write their merged runs in the same format.
 func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 	n := 20_000
 	vals := make([]uint32, n)
@@ -134,28 +134,40 @@ func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 	}
 	tbl := workload.UintColumnsTable([][]uint32{vals})
 	keys := []SortColumn{{Column: 0}}
-	base := Options{Adaptive: true, Threads: 1, RunSize: 1500}
+	base := Options{Threads: 1, RunSize: 1500}
 
 	resident, err := SortTable(tbl, keys, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := base
-	ext.SpillDir = t.TempDir()
-	spilled, st, err := SortTableStats(tbl, keys, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpillBlocksFrontCoded == 0 {
-		t.Fatal("no spill block was front-coded; the round trip was not exercised")
-	}
-	if resident.NumRows() != spilled.NumRows() {
-		t.Fatalf("row counts differ: %d resident, %d spilled", resident.NumRows(), spilled.NumRows())
-	}
-	rc, sc := resident.Column(0), spilled.Column(0)
-	for i := 0; i < resident.NumRows(); i++ {
-		if rc.Value(i) != sc.Value(i) {
-			t.Fatalf("row %d differs: resident %v, spilled %v", i, rc.Value(i), sc.Value(i))
+	eager := base
+	eager.SpillDir = t.TempDir()
+	budgeted := base
+	budgeted.RunSize = 500
+	budgeted.MemoryLimit = 24 << 10
+	for _, tc := range []struct {
+		name      string
+		opt       Options
+		multiPass bool
+	}{
+		{"eager", eager, false},
+		{"multi-pass", budgeted, true},
+	} {
+		spilled, st := budgetedSort(t, tbl, keys, tc.opt)
+		if st.SpillBlocksFrontCoded == 0 {
+			t.Fatalf("%s: no spill block was front-coded; the round trip was not exercised", tc.name)
+		}
+		if tc.multiPass && st.MergePasses == 0 {
+			t.Fatalf("%s: budget forced no intermediate merge pass", tc.name)
+		}
+		if resident.NumRows() != spilled.NumRows() {
+			t.Fatalf("%s: row counts differ: %d resident, %d spilled", tc.name, resident.NumRows(), spilled.NumRows())
+		}
+		rc, sc := resident.Column(0), spilled.Column(0)
+		for i := 0; i < resident.NumRows(); i++ {
+			if rc.Value(i) != sc.Value(i) {
+				t.Fatalf("%s: row %d differs: resident %v, spilled %v", tc.name, i, rc.Value(i), sc.Value(i))
+			}
 		}
 	}
 }
@@ -173,7 +185,7 @@ func TestAdaptiveRunSnapshotCarriesStrategy(t *testing.T) {
 	defer srv.Close()
 
 	_, st, err := SortTableStats(tbl, keys, Options{
-		Adaptive: true, Threads: 1, RunSize: 1000,
+		Threads: 1, RunSize: 1000,
 		Registry: reg, RunLabel: "adaptive-snap",
 	})
 	if err != nil {

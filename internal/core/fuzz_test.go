@@ -59,7 +59,6 @@ func TestQuickRandomSchemasAndSpecs(t *testing.T) {
 			Threads:      1 + rng.Intn(4),
 			RunSize:      64 + rng.Intn(2000),
 			ForcePdqsort: rng.Intn(4) == 0,
-			Adaptive:     rng.Intn(4) == 0,
 		}
 		got, err := SortTable(tbl, keys, opt)
 		if err != nil {

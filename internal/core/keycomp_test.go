@@ -68,7 +68,6 @@ func TestKeyCompEquivalence(t *testing.T) {
 	}{
 		{"dict", KeyCompDict},
 		{"trunc", KeyCompTrunc},
-		{"rle", KeyCompRLE},
 		{"all", KeyCompAll},
 	}
 	for _, w := range workloads {
@@ -166,11 +165,12 @@ func TestKeyCompStatsDictEscapes(t *testing.T) {
 }
 
 // TestKeyCompStatsRLE asserts duplicate-run group sorting engages on
-// duplicate-heavy integers.
+// duplicate-heavy integers: the strategy planner picks it from its sample,
+// with no configuration bit.
 func TestKeyCompStatsRLE(t *testing.T) {
 	tbl := workload.DupHeavyInts(12_000, 50, 32)
 	keys := []SortColumn{{Column: 0}}
-	_, st, err := SortTableStats(tbl, keys, Options{Threads: 2, RunSize: 2_000, KeyComp: KeyCompRLE})
+	_, st, err := SortTableStats(tbl, keys, Options{Threads: 2, RunSize: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}

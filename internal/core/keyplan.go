@@ -31,7 +31,7 @@ func (s *Sorter) PlanCompression(sample []*vector.Chunk) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.finalized || len(s.runs) > 0 || s.rowsIn.Load() != 0 {
+	if s.finalized || len(s.runs) > 0 || s.prog.RowsIngested.Load() != 0 {
 		return fmt.Errorf("core: PlanCompression must run before ingestion starts")
 	}
 	sp := s.rec.Worker("main").Begin(obs.PhaseKeyPlan)

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"rowsort/internal/mem"
 	"rowsort/internal/vector"
+	"rowsort/internal/workload"
 )
 
 // sortWith runs a full single-sink sort of tbl under opt and returns the
@@ -147,16 +150,29 @@ func TestExternalMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestExternalMergeCascadeAblation checks the cascaded external baseline
-// (full unspill/re-spill per level) still produces the same table.
+// TestExternalMergeCascadeAblation checks that MergeCascade only governs
+// in-memory merges: a spilled MergeCascade sort merges through the
+// streaming loser tree and produces the in-memory loser tree's table.
 func TestExternalMergeCascadeAblation(t *testing.T) {
 	tbl := mixedTable(2*vector.DefaultVectorSize+77, 94)
 	want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 2, RunSize: 500})
 	wantRows := rowify(t, want)
 	opt := Options{Threads: 2, RunSize: 500, Merge: MergeCascade, SpillDir: t.TempDir()}
-	got := sortWith(t, tbl, mergeTestKeys, opt)
+	s, err := NewSorter(tbl.Schema, mergeTestKeys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := sortTable(s, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-		t.Fatal("external cascade merge differs from in-memory loser tree")
+		t.Fatal("spilled cascade sort differs from in-memory loser tree")
+	}
+	if st := s.Stats(); st.SpillBytesRead == 0 || st.MergeFanIn == 0 {
+		t.Fatalf("spilled cascade sort did not run the streaming merge: read %d bytes, fan-in %d",
+			st.SpillBytesRead, st.MergeFanIn)
 	}
 }
 
@@ -283,6 +299,94 @@ func TestSpillErrorPropagation(t *testing.T) {
 	}
 	if sawErr == nil {
 		t.Fatal("sort with unwritable SpillDir reported no error")
+	}
+}
+
+// TestCorruptSpillFileRejected corrupts the spill files a budgeted sort
+// leaves for its streaming merge — the magic, the first block's key-section
+// tag, or a front-coded section's length — and checks the result iterator
+// reports an error instead of rows, while Close still hands every broker
+// byte back and removes every spill file.
+func TestCorruptSpillFileRejected(t *testing.T) {
+	vals := make([]uint32, 20_000)
+	for i := range vals {
+		vals[i] = uint32(i / 32) // duplicate-heavy: the first blocks front-code
+	}
+	tbl := workload.UintColumnsTable([][]uint32{vals})
+	keys := []SortColumn{{Column: 0}}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, b []byte)
+	}{
+		{"magic", func(t *testing.T, b []byte) { b[0] ^= 0xff }},
+		{"key tag", func(t *testing.T, b []byte) { b[spillHeaderLen] = 7 }},
+		{"front-coded length", func(t *testing.T, b []byte) {
+			if b[spillHeaderLen] != 1 {
+				t.Fatalf("first block's key section has tag %d, want 1 (front-coded)", b[spillHeaderLen])
+			}
+			binary.LittleEndian.PutUint32(b[spillHeaderLen+1:], 0)
+		}},
+	} {
+		dir := t.TempDir()
+		broker := mem.NewBroker("corrupt", 0)
+		s, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: 1000,
+			SpillDir: dir, MemoryLimit: 64 << 10, Broker: broker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := s.NewSink()
+		for _, c := range tbl.Chunks {
+			if err := sink.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		files := spillFiles(t, dir)
+		if len(files) == 0 {
+			t.Fatalf("%s: budgeted sort left no spill files for its streaming merge", tc.name)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, b)
+			if err := os.WriteFile(f, b, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first blocks are read while the iterator primes its merge, so
+		// the error may come from Rows itself or from a later Next.
+		err = func() error {
+			it, err := s.Rows()
+			if err != nil {
+				return err
+			}
+			defer it.Close()
+			for {
+				c, err := it.Next()
+				if err != nil || c == nil {
+					return err
+				}
+			}
+		}()
+		if err == nil {
+			t.Errorf("%s: corrupt spill files were read without error", tc.name)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("%s: Close: %v", tc.name, err)
+		}
+		if used := broker.Used(); used != 0 {
+			t.Errorf("%s: broker holds %d bytes after Close, want 0", tc.name, used)
+		}
+		if left := spillFiles(t, dir); len(left) != 0 {
+			t.Errorf("%s: Close left spill files behind: %v", tc.name, left)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"rowsort/internal/mem"
 	"rowsort/internal/vector"
+	"rowsort/internal/workload"
 )
 
 // parallelTestKeys sorts on every column, with the tie-prone varchar
@@ -93,41 +94,61 @@ func TestParallelExternalSortByteIdentity(t *testing.T) {
 // against the sequential one on deterministic runs (single sink): across
 // merge thread counts and read-ahead depths the output must stay
 // byte-identical — including on keys with tie-breaks, where partition
-// bounds may only cut on the byte-decisive safe prefix.
+// bounds may only cut on the byte-decisive safe prefix, and on
+// duplicate-heavy keys, whose small front-coded spill blocks make the
+// partition workers seek into the middle of tagged spill files.
 func TestPartitionedMergeMatchesSequential(t *testing.T) {
-	tbl := mixedTable(40_000, 102)
-	base := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
-		ReadAhead: -1, ExtMergeThreads: 1}
-	want, wantStats := budgetedSort(t, tbl, mergeTestKeys, base)
-	if wantStats.SpillBytesWritten == 0 {
-		t.Fatal("reference sort never spilled")
+	dup := make([]uint32, 40_000)
+	for i := range dup {
+		dup[i] = uint32(i / 32)
 	}
-	if wantStats.ExtMergeParts != 0 || wantStats.PrefetchedBlocks != 0 {
-		t.Fatalf("scalar reference ran parallel machinery: %+v", wantStats)
-	}
-	wantRows := rowify(t, want)
+	for _, in := range []struct {
+		name      string
+		tbl       *vector.Table
+		keys      []SortColumn
+		blockRows int
+	}{
+		{"mixed", mixedTable(40_000, 102), mergeTestKeys, 0},
+		{"dup-heavy", workload.UintColumnsTable([][]uint32{dup}), []SortColumn{{Column: 0}}, 256},
+	} {
+		base := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
+			ReadAhead: -1, ExtMergeThreads: 1, SpillBlockRows: in.blockRows}
+		want, wantStats := budgetedSort(t, in.tbl, in.keys, base)
+		if wantStats.SpillBytesWritten == 0 {
+			t.Fatalf("%s: reference sort never spilled", in.name)
+		}
+		if wantStats.ExtMergeParts != 0 || wantStats.PrefetchedBlocks != 0 {
+			t.Fatalf("%s: scalar reference ran parallel machinery: %+v", in.name, wantStats)
+		}
+		wantRows := rowify(t, want)
 
-	for _, emt := range []int{1, 2, 4, 8} {
-		for _, ra := range []int{-1, 0, 2} {
-			opt := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
-				ReadAhead: ra, ExtMergeThreads: emt}
-			got, st := budgetedSort(t, tbl, mergeTestKeys, opt)
-			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Errorf("merge threads=%d readahead=%d: output differs from sequential merge", emt, ra)
-			}
-			if emt >= 2 && st.ExtMergeParts < 2 {
-				t.Errorf("merge threads=%d: final merge ran on %d partitions, want >= 2",
-					emt, st.ExtMergeParts)
-			}
-			if ra >= 0 && st.PrefetchedBlocks == 0 {
-				t.Errorf("readahead=%d: no blocks prefetched", ra)
-			}
-			if ra < 0 && st.PrefetchedBlocks != 0 {
-				t.Errorf("readahead disabled but %d blocks prefetched", st.PrefetchedBlocks)
-			}
-			if st.PrefetchHits > st.PrefetchedBlocks {
-				t.Errorf("read-ahead hits %d exceed prefetched blocks %d",
-					st.PrefetchHits, st.PrefetchedBlocks)
+		for _, emt := range []int{1, 2, 4, 8} {
+			for _, ra := range []int{-1, 0, 2} {
+				opt := base
+				opt.SpillDir = t.TempDir()
+				opt.ReadAhead, opt.ExtMergeThreads = ra, emt
+				got, st := budgetedSort(t, in.tbl, in.keys, opt)
+				if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
+					t.Errorf("%s: merge threads=%d readahead=%d: output differs from sequential merge",
+						in.name, emt, ra)
+				}
+				if emt >= 2 && st.ExtMergeParts < 2 {
+					t.Errorf("%s: merge threads=%d: final merge ran on %d partitions, want >= 2",
+						in.name, emt, st.ExtMergeParts)
+				}
+				if in.blockRows > 0 && st.SpillBlocksFrontCoded == 0 {
+					t.Errorf("%s: merge threads=%d: no spill block was front-coded", in.name, emt)
+				}
+				if ra >= 0 && st.PrefetchedBlocks == 0 {
+					t.Errorf("%s: readahead=%d: no blocks prefetched", in.name, ra)
+				}
+				if ra < 0 && st.PrefetchedBlocks != 0 {
+					t.Errorf("%s: readahead disabled but %d blocks prefetched", in.name, st.PrefetchedBlocks)
+				}
+				if st.PrefetchHits > st.PrefetchedBlocks {
+					t.Errorf("%s: read-ahead hits %d exceed prefetched blocks %d",
+						in.name, st.PrefetchHits, st.PrefetchedBlocks)
+				}
 			}
 		}
 	}

@@ -68,9 +68,7 @@ type blockDecoder struct {
 	readRows   int // absolute row cursor
 	lastKey    []byte
 	done       bool
-
-	fc     bool   // format-3 file: key sections carry a tag byte
-	encBuf []byte // scratch for front-coded key sections
+	encBuf     []byte // scratch for front-coded key sections
 }
 
 // openBlockDecoder opens r's spill file, validates its header, and seeks
@@ -93,11 +91,7 @@ func (s *Sorter) openBlockDecoder(r *sortedRun, withCodes bool, codeWidth int,
 		f.Close()
 		return nil, fmt.Errorf("core: reading spill header: %w", err)
 	}
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case spillMagic:
-	case spillMagicFC:
-		d.fc = true
-	default:
+	if binary.LittleEndian.Uint32(hdr[0:]) != spillMagic {
 		f.Close()
 		return nil, fmt.Errorf("core: bad spill magic in %s", sf.path)
 	}
@@ -218,17 +212,11 @@ func (d *blockDecoder) decode(reuse *spillBlock) (*spillBlock, error) {
 }
 
 // readKeySection reads one block's key rows into buf (rows rows of stride
-// rw). Format-2 files store them raw; format-3 files prefix a tag byte —
-// raw rows (0) or a length-prefixed front-coded section (1) that decodes in
-// place through the scratch buffer. Everything downstream (offset-value
-// codes, fences, partition trims) sees the same decoded rows either way.
+// rw). A tag byte selects raw rows (0) or a length-prefixed front-coded
+// section (1) that decodes in place through the scratch buffer. Everything
+// downstream (offset-value codes, fences, partition trims) sees the same
+// decoded rows either way.
 func (d *blockDecoder) readKeySection(buf []byte, rows, rw int) error {
-	if !d.fc {
-		if _, err := io.ReadFull(d.br, buf); err != nil {
-			return fmt.Errorf("core: reading spill block keys: %w", err)
-		}
-		return nil
-	}
 	tag, err := d.br.ReadByte()
 	if err != nil {
 		return fmt.Errorf("core: reading spill block key tag: %w", err)
@@ -320,7 +308,6 @@ func (pf *prefetcher) run() {
 			return
 		}
 		pf.res.Grow(b.bytes)
-		pf.dec.s.prefetchBlocks.Add(1)
 		pf.dec.s.prog.PrefetchedBlocks.Add(1)
 		select {
 		case pf.out <- b:
@@ -338,7 +325,6 @@ func (pf *prefetcher) next(s *Sorter) *spillBlock {
 	select {
 	case b, ok := <-pf.out:
 		if ok {
-			s.prefetchHits.Add(1)
 			s.prog.PrefetchHits.Add(1)
 			return b
 		}

@@ -58,15 +58,12 @@ type Sorter struct {
 	mergeStats mergepath.Stats
 
 	// Spill bookkeeping: every file the sorter creates is tracked until it
-	// is removed, so Close can clean up after aborted sorts; the byte
-	// counters verify the streaming merge's single read pass.
-	spillMu      sync.Mutex
-	spillPaths   map[string]struct{}
-	spillTmpDir  string // lazily created when spilling without SpillDir (guarded by spillMu)
-	closed       bool   // Close has run (guarded by spillMu)
-	closeErr     error  // the last Close's result (guarded by spillMu)
-	spillWritten atomic.Int64
-	spillRead    atomic.Int64
+	// is removed, so Close can clean up after aborted sorts.
+	spillMu     sync.Mutex
+	spillPaths  map[string]struct{}
+	spillTmpDir string // lazily created when spilling without SpillDir (guarded by spillMu)
+	closed      bool   // Close has run (guarded by spillMu)
+	closeErr    error  // the last Close's result (guarded by spillMu)
 
 	// Memory governance: every resident byte the sorter holds is charged to
 	// broker — sink buffers through per-sink reservations, sorted runs
@@ -75,31 +72,29 @@ type Sorter struct {
 	// high-water mark feeds SortStats.PeakResidentRunBytes; crossing the
 	// budget fires the pressure subscription, which flips pressured so
 	// sinks cut their pending runs early and shed resident runs to disk.
-	broker         *mem.Broker
-	runRes         *mem.Reservation // resident sorted runs (keys + payload capacity)
-	poolRes        *mem.Reservation // recycled buffers parked in the pools
-	unsub          func()
-	keyBufs        *row.BufPool
-	sets           *row.SetPool
-	pressured      atomic.Bool
-	pressureSpills atomic.Int64
+	broker    *mem.Broker
+	runRes    *mem.Reservation // resident sorted runs (keys + payload capacity)
+	poolRes   *mem.Reservation // recycled buffers parked in the pools
+	unsub     func()
+	keyBufs   *row.BufPool
+	sets      *row.SetPool
+	pressured atomic.Bool
 
 	// Telemetry: rec records phase spans when Options.Telemetry is set (nil
 	// disables span recording at zero cost); the counters below feed
 	// SortStats and are maintained unconditionally. Lifecycle timestamps
 	// are nanoseconds since epoch, stored +1 so zero means "not reached".
 	//
-	// prog is the live progress block the observability registry serves:
-	// the hot paths mirror their counters into it with plain atomic adds.
-	// It is always allocated (so hooks never nil-check); obsRun is non-nil
-	// only when Options.Registry registered the run, and Close marks it
-	// done, freezing the final SortStats into the registry.
+	// prog is the live progress block the observability registry serves,
+	// and the only home of the events it counts (rows ingested, runs cut,
+	// spill bytes, merge passes, read-ahead, pressure spills): Stats reads
+	// them back from it. It is always allocated (so hooks never nil-check);
+	// obsRun is non-nil only when Options.Registry registered the run, and
+	// Close marks it done, freezing the final SortStats into the registry.
 	rec             *obs.Recorder
 	prog            *obs.Progress
 	obsRun          *obs.RunHandle
 	epoch           time.Time
-	rowsIn          atomic.Int64
-	runsGen         atomic.Int64
 	normKeyBytes    atomic.Int64
 	physKeyBytes    atomic.Int64
 	dictEscapes     atomic.Int64
@@ -116,14 +111,10 @@ type Sorter struct {
 	tFinalizeEnd    atomic.Int64
 	tResultEnd      atomic.Int64
 
-	// Parallel external merge counters: spill read-ahead effectiveness
-	// (blocks decoded ahead, blocks already queued when the merge asked,
-	// time the merge stalled waiting for a block), the executed multi-pass
-	// merge plan, and the final merge's partition fan-out.
-	prefetchBlocks  atomic.Int64
-	prefetchHits    atomic.Int64
+	// Parallel external merge counters: time the merge stalled waiting for
+	// a read-ahead block, the executed multi-pass merge plan, and the final
+	// merge's partition fan-out.
 	prefetchStallNs atomic.Int64
-	mergePasses     atomic.Int64
 	mergePassRuns   atomic.Int64
 	mergePassBytes  atomic.Int64
 	mergeFanIn      atomic.Int64
@@ -169,8 +160,8 @@ func (s *Sorter) putRowSet(rs *row.RowSet) {
 // sortedRun is one thread-local sorted run: sorted key rows plus the
 // payload physically reordered to match (so scans read it sequentially).
 // The strategy fields carry the run's sampled execution plan forward into
-// the spill and merge phases; they are zero for unplanned (non-adaptive)
-// runs.
+// the spill and merge phases; they are zero for runs whose sort was
+// dictated (tie-break or ForcePdqsort) rather than planned.
 type sortedRun struct {
 	id       uint32
 	keys     []byte
@@ -400,7 +391,6 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		s.putRef(k.keys[start+r*s.rowWidth:start+(r+1)*s.rowWidth], 0, uint32(base+r))
 	}
 	k.n += n
-	s.rowsIn.Add(int64(n))
 	s.prog.RowsIngested.Add(int64(n))
 
 	// The encoder reports per-chunk whether any encoded key could byte-tie
@@ -459,17 +449,15 @@ func (k *Sink) flush() error {
 	k.account()
 	sp := k.ow.Begin(obs.PhaseRunSort)
 
-	// Sort the normalized keys: radix sort when plain byte order is the
-	// tuple order; pdqsort with a tie-breaking comparator when truncated
-	// string prefixes may collide (the paper's algorithm choice). With
-	// Adaptive set, the strategy planner samples the pending run and picks
-	// the run sort from modeled costs (see internal/strategy). Two
-	// compressed-key refinements: a lossy compressed run whose tie-capable
-	// segment is last radix-sorts its bytes and repairs the byte-equal
-	// blocks, and a byte-decisive duplicate-heavy run may sort grouped
-	// (KeyCompRLE) — both byte-identical to the baseline paths. Every arm
-	// records its decision, so SortStats.StrategyDecisions explains each
-	// run even when the plan was dictated rather than sampled.
+	// Sort the normalized keys. When truncated string prefixes may collide,
+	// pdqsort with a tie-breaking comparator (the paper's algorithm choice)
+	// — or, for a lossy compressed run whose tie-capable segment is last, a
+	// radix sort that repairs the byte-equal blocks. ForcePdqsort overrides
+	// the plan. Every other run is byte-decisive: the strategy planner
+	// samples it and picks the run sort from modeled costs (see
+	// internal/strategy). Every arm records its decision, so
+	// SortStats.StrategyDecisions explains each run even when the sort was
+	// dictated rather than sampled.
 	var plan strategy.Plan
 	dec := StrategyDecision{Rows: n}
 	switch {
@@ -490,12 +478,9 @@ func (k *Sink) flush() error {
 		if tb {
 			dec.Forced = "tie-break"
 		}
-	case s.opt.Adaptive:
+	default:
 		plan = k.strategyPlanner().PlanRun(keys, n)
 		keys = s.sortRunPlanned(keys, payload, n, plan, &dec)
-	default:
-		keys = s.radixSortRun(keys, n, &dec)
-		dec.Forced = "static"
 	}
 
 	// Register the run id first (so merge order is stable), then physically
@@ -529,7 +514,6 @@ func (k *Sink) flush() error {
 	s.mu.Unlock()
 	sp.End()
 
-	s.runsGen.Add(1)
 	s.prog.RowsSorted.Add(int64(n))
 	s.prog.RunsGenerated.Add(1)
 	// NormKeyBytes stays in logical (uncompressed) terms so the number is
@@ -552,9 +536,9 @@ func (k *Sink) flush() error {
 	return nil
 }
 
-// strategyPlanner lazily builds this sink's per-run planner (Adaptive
-// sorts only). The planner owns sampling scratch and is reused across the
-// sink's runs; the config captures the sort's fixed shape — key segment
+// strategyPlanner lazily builds this sink's per-run planner on its first
+// byte-decisive run. The planner owns sampling scratch and is reused across
+// the sink's runs; the config captures the sort's fixed shape — key segment
 // offsets for the per-segment sketches, and the spill-block default the
 // plan's block hint is relative to (zero when the user pinned the block
 // shape or a budget makes mergepath size blocks dynamically).
@@ -573,7 +557,7 @@ func (k *Sink) strategyPlanner() *strategy.Planner {
 			RowWidth: s.rowWidth,
 			KeyWidth: s.keyWidth,
 			SegOffs:  segOffs,
-			// The adaptive arm is only reached for byte-decisive runs (no
+			// The planned arm is only reached for byte-decisive runs (no
 			// tie-break), so grouping byte-equal rows is always sound here.
 			AllowDupGroup:         true,
 			DefaultSpillBlockRows: blockRows,
@@ -590,32 +574,13 @@ func (s *Sorter) strategyDecisions() []StrategyDecision {
 	return append([]StrategyDecision(nil), s.decisions...)
 }
 
-// radixAlgoName names the arm radix.Sort picks for the key width, so
-// decisions recorded by non-adaptive paths still say what actually ran.
+// radixAlgoName names the arm radix.Sort picks for the key width, so a
+// decision whose planned dup-group sort missed still says what ran.
 func radixAlgoName(keyWidth int) string {
 	if keyWidth <= radix.LSDThreshold {
 		return strategy.AlgoLSDRadix.String()
 	}
 	return strategy.AlgoMSDRadix.String()
-}
-
-// radixSortRun sorts a byte-decisive run. Under KeyCompRLE a
-// duplicate-heavy run (adjacent byte-equal key groups averaging two or more
-// rows) sorts one representative row per group and expands, moving each
-// distinct key through the radix sort once; because radix.Sort is stable,
-// the expansion is byte-identical to sorting row at a time. Returns the
-// buffer now holding the sorted run — the expansion writes into a recycled
-// buffer and returns the input buffer to the pool.
-func (s *Sorter) radixSortRun(keys []byte, n int, dec *StrategyDecision) []byte {
-	if s.opt.KeyComp&KeyCompRLE != 0 {
-		if reps, groups, ok := sortalgo.CollectDupGroups(keys, s.rowWidth, s.keyWidth); ok {
-			dec.Algo = strategy.AlgoDupGroup.String()
-			return s.expandGroups(keys, reps, groups, n)
-		}
-	}
-	dec.Algo = radixAlgoName(s.keyWidth)
-	radix.Sort(keys, s.rowWidth, s.keyWidth)
-	return keys
 }
 
 // expandGroups finishes a duplicate-group run sort: stable radix sort of
@@ -900,7 +865,7 @@ func (s *Sorter) Finalize() error {
 	s.finalized = true
 	s.tFinalizeStart.Store(s.sinceEpoch() + 1)
 	s.prog.AdvanceTo(obs.StageMerge)
-	s.prog.MergeRowsPlanned.Add(s.rowsIn.Load())
+	s.prog.MergeRowsPlanned.Add(s.prog.RowsIngested.Load())
 	defer func() { s.tFinalizeEnd.Store(s.sinceEpoch() + 1) }()
 	var err error
 	s.rec.Do("merge", func() { err = s.finalizeLocked() })
@@ -915,11 +880,6 @@ func (s *Sorter) finalizeLocked() error {
 		anySpilled = anySpilled || r.spill != nil
 	}
 	if anySpilled || (s.opt.SpillDir != "" && !s.opt.limited()) {
-		if s.opt.Merge == MergeCascade {
-			// The cascade ablation unspills whole runs; under a budget it
-			// still works but does not respect the limit.
-			return s.externalFinalizeCascade()
-		}
 		if s.opt.limited() {
 			return s.planStreamingMerge()
 		}

@@ -4,9 +4,10 @@
 // (Figure 11):
 //
 //	input chunks → per-thread sinks → normalized keys + payload row format
-//	→ thread-local run generation (radix sort, or pdqsort when string
-//	prefixes may tie) → single-pass k-way loser-tree merge with
-//	offset-value coding, partitioned across threads with k-way Merge Path
+//	→ thread-local run generation (a sampled per-run plan: radix, pdqsort
+//	or duplicate-group sort; pdqsort when string prefixes may tie)
+//	→ single-pass k-way loser-tree merge with offset-value coding,
+//	partitioned across threads with k-way Merge Path
 //	→ columnar scan of the result
 //
 // Keys are compared as plain bytes (one dynamic bytes.Compare per
@@ -58,8 +59,8 @@ const (
 	// the coding from the tree shape).
 	MergeLoserTreeNoOVC
 	// MergeCascade is the cascaded pairwise 2-way merge (the previous
-	// default), kept as the ablation baseline. With SpillDir set it merges
-	// spilled runs pairwise with full unspill/re-spill of intermediates.
+	// default), kept as the in-memory ablation baseline
+	// (mergepath.CascadeMerge; see Options.Merge).
 	MergeCascade
 )
 
@@ -83,14 +84,9 @@ const (
 	// elision: the key keeps only the sampled discriminating prefix of its
 	// order-preserving encoding.
 	KeyCompTrunc
-	// KeyCompRLE enables duplicate-run group sorting: runs whose adjacent
-	// byte-equal key groups average two or more rows sort one representative
-	// per group and expand, moving each distinct key through the radix sort
-	// once. Output stays byte-identical (the radix sort is stable).
-	KeyCompRLE
 
 	// KeyCompAll enables every key-compression feature.
-	KeyCompAll = KeyCompDict | KeyCompTrunc | KeyCompRLE
+	KeyCompAll = KeyCompDict | KeyCompTrunc
 )
 
 // Options tune the sorter; the zero value is a good default.
@@ -101,17 +97,14 @@ type Options struct {
 	// DefaultRunSize. Smaller runs mean more merging; larger runs mean more
 	// run-generation work per thread (Section II's comparison-count model).
 	RunSize int
-	// ForcePdqsort uses pdqsort for run generation even when radix sort is
-	// applicable (for the algorithm-choice ablation).
+	// ForcePdqsort overrides the sampled run-sort plan with pdqsort (for
+	// the algorithm-choice ablation). Without it, every run whose key bytes
+	// are decisive is sorted by its sampled strategy plan: at each run cut
+	// the sink samples the pending key rows (strategy.Analyze) and the
+	// planner picks LSD radix, MSD radix, pdqsort or the duplicate-group
+	// sort from the perfmodel run-cost curves, plus the run's spill block
+	// shape, key front coding and merge role.
 	ForcePdqsort bool
-	// Adaptive replaces the paper's fixed "radix unless strings" rule with
-	// a sampled strategy plan per run: at every run cut the sink samples
-	// the pending key rows (strategy.Analyze) and the planner picks LSD
-	// radix, MSD radix, pdqsort or the duplicate-group sort from the
-	// perfmodel run-cost curves, plus the run's spill block shape, key
-	// front coding and merge role. Ignored when ForcePdqsort is set or a
-	// tie-break forces pdqsort anyway.
-	Adaptive bool
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
 	// fixed-size blocks for a single-pass k-way merge — the
@@ -128,6 +121,8 @@ type Options struct {
 	SpillDir string
 	// Merge selects the merge-phase algorithm; the zero value is the
 	// offset-value-coded loser tree. The other values are ablation arms.
+	// MergeCascade applies only to in-memory merges; once any run has
+	// spilled, the sort merges through the streaming loser tree.
 	Merge MergeAlgo
 	// SpillBlockRows is the number of rows per spill-file block (the unit
 	// of streaming-merge I/O and resident memory per run); 0 means
@@ -169,8 +164,7 @@ type Options struct {
 	// constants); 0 keeps the full encoding. Dictionary and truncation
 	// require an ingest-time sample: SortTable samples automatically, and
 	// streaming callers opt in with Sorter.PlanCompression before the first
-	// Append. KeyCompRLE needs no sample and applies to any run whose key
-	// bytes are decisive.
+	// Append.
 	KeyComp KeyComp
 	// KeyCompSampleRows bounds the rows SortTable samples for the
 	// compression plan; 0 means DefaultKeyCompSampleRows.
@@ -281,7 +275,7 @@ func (o Options) Fingerprint() string {
 		for _, f := range []struct {
 			bit  KeyComp
 			name string
-		}{{KeyCompDict, "dict"}, {KeyCompTrunc, "trunc"}, {KeyCompRLE, "rle"}} {
+		}{{KeyCompDict, "dict"}, {KeyCompTrunc, "trunc"}} {
 			if o.KeyComp&f.bit != 0 {
 				b.WriteString(sep)
 				b.WriteString(f.name)
@@ -291,9 +285,6 @@ func (o Options) Fingerprint() string {
 	}
 	if o.ForcePdqsort {
 		b.WriteString(" pdqsort=forced")
-	}
-	if o.Adaptive {
-		b.WriteString(" adaptive")
 	}
 	return b.String()
 }

@@ -26,16 +26,12 @@ import (
 // resident memory is bounded by k blocks plus the materialized output, and
 // every spilled byte is read exactly once.
 
-// spillMagic heads every spill file ("RSB2": row-sort blocks, format 2).
-const spillMagic = 0x52534232
-
-// spillMagicFC heads spill files whose key sections may be front-coded
-// ("RSB3"): each block's key section starts with a tag byte — 0 for raw key
-// rows, 1 for a little-endian uint32 encoded length followed by the
-// front-coded rows (normkey.AppendFrontCoded). Payload sections and the
-// block index are unchanged. Written only by adaptive sorts; format-2 files
-// stay byte-for-byte what they always were.
-const spillMagicFC = 0x52534233
+// spillMagic heads every spill file ("RSB3": row-sort blocks, format 3).
+// Each block's key section starts with a tag byte — 0 for raw key rows, 1
+// for a little-endian uint32 encoded length followed by the front-coded
+// rows (normkey.AppendFrontCoded) — and is followed by the block's payload
+// rows.
+const spillMagic = 0x52534233
 
 // spillHeaderLen is the file header: magic, block rows, total rows.
 const spillHeaderLen = 16
@@ -175,7 +171,6 @@ type countingReader struct {
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.s.spillRead.Add(int64(n))
 	c.s.prog.SpillBytesRead.Add(int64(n))
 	return n, err
 }
@@ -257,7 +252,6 @@ func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 		if run == nil {
 			return nil
 		}
-		s.pressureSpills.Add(1)
 		s.prog.PressureSpills.Add(1)
 		err := run.spillTo(s, ow)
 		s.mu.Lock()
@@ -342,7 +336,6 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 		cleanup()
 		return err
 	}
-	s.spillWritten.Add(cw.n)
 	s.prog.SpillBytesWritten.Add(cw.n)
 	sf.path = path
 	r.spill = sf
@@ -356,22 +349,61 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	return nil
 }
 
-// writeKeySection writes one spill block's key rows. Raw format: the rows
-// as they are. Front-coding format (fc): a tag byte, then either the raw
-// rows (tag 0) or a length-prefixed front-coded encoding (tag 1). The
-// encode is attempted only when a fresh sample of the block predicts a
-// saving (re-checked per block, so intermediate merge generations re-sample
-// what the merge actually produced), and kept only when the block really
-// shrank. scratch is the caller's reusable encode buffer.
-func (s *Sorter) writeKeySection(w io.Writer, scratch *[]byte, keys []byte, rows int, fc bool) error {
-	if !fc {
-		_, err := w.Write(keys)
+// blockWriter writes one spill file: the header, then per block a tagged
+// key section followed by the block's payload rows (with a block-local
+// string heap, so a reader needs only that block resident to resolve
+// tie-break lookups). It records the file's block index (offsets and
+// fences) as the blocks stream out; the caller fills in the path.
+type blockWriter struct {
+	s         *Sorter
+	w         *countingWriter
+	sf        *spillFile
+	frontCode bool   // attempt front-coded key sections (the run's plan)
+	scratch   []byte // reusable front-coding buffer
+}
+
+// newBlockWriter writes the header of a spill file holding total rows in
+// blocks of blockRows.
+func (s *Sorter) newBlockWriter(w *countingWriter, blockRows, total int, frontCode bool) (*blockWriter, error) {
+	var hdr [spillHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], spillMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return nil, err
+	}
+	numBlocks := (total + blockRows - 1) / blockRows
+	return &blockWriter{s: s, w: w, frontCode: frontCode, sf: &spillFile{
+		blockRows: blockRows,
+		offs:      make([]int64, 0, numBlocks),
+		fences:    make([]byte, 0, numBlocks*s.rowWidth),
+	}}, nil
+}
+
+// writeBlock appends one block: its key rows, then its payload rows.
+func (bw *blockWriter) writeBlock(keys []byte, payload *row.RowSet) error {
+	rw := bw.s.rowWidth
+	bw.sf.offs = append(bw.sf.offs, bw.w.n)
+	bw.sf.fences = append(bw.sf.fences, keys[:rw]...)
+	if err := bw.writeKeySection(keys, len(keys)/rw); err != nil {
 		return err
 	}
+	_, err := payload.WriteTo(bw.w)
+	return err
+}
+
+// writeKeySection writes one block's key rows behind their tag byte: the
+// raw rows (tag 0) or a length-prefixed front-coded encoding (tag 1). The
+// encode is attempted only when the run's plan asked for front coding and
+// a fresh sample of the block predicts a saving (re-checked per block, so
+// intermediate merge generations re-sample what the merge actually
+// produced), and kept only when the block really shrank.
+func (bw *blockWriter) writeKeySection(keys []byte, rows int) error {
+	s, w := bw.s, bw.w
 	rw, kw := s.rowWidth, s.keyWidth
-	if normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
-		enc := normkey.AppendFrontCoded((*scratch)[:0], keys, rw, kw, rows)
-		*scratch = enc
+	if bw.frontCode && normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
+		enc := normkey.AppendFrontCoded(bw.scratch[:0], keys, rw, kw, rows)
+		bw.scratch = enc
 		if len(enc) < len(keys) {
 			var pre [5]byte
 			pre[0] = 1
@@ -393,55 +425,31 @@ func (s *Sorter) writeKeySection(w io.Writer, scratch *[]byte, keys []byte, rows
 	return err
 }
 
-// writeBlocks serializes the run: a header, then per block the key rows
-// (raw, or tagged and possibly front-coded when the run's strategy plan
-// asked for it) followed by the block's payload rows (with a block-local
-// string heap, so a reader needs only that block resident to resolve
-// tie-break lookups). It returns the spill file's block index (offsets and
-// fences), recorded as the blocks stream out; the caller fills in the path.
+// writeBlocks serializes the run in blocks of blockRows and returns the
+// spill file's block index.
 func (r *sortedRun) writeBlocks(s *Sorter, w *countingWriter, blockRows int) (*spillFile, error) {
 	rw := s.rowWidth
 	n := len(r.keys) / rw
-	fc := s.opt.Adaptive && r.frontCode
-	magic := uint32(spillMagic)
-	if fc {
-		magic = spillMagicFC
-	}
-	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
-	if _, err := w.Write(hdr[:]); err != nil {
+	bw, err := s.newBlockWriter(w, blockRows, n, r.frontCode)
+	if err != nil {
 		return nil, err
-	}
-	numBlocks := (n + blockRows - 1) / blockRows
-	sf := &spillFile{
-		blockRows: blockRows,
-		offs:      make([]int64, 0, numBlocks),
-		fences:    make([]byte, 0, numBlocks*rw),
 	}
 	blockSet := s.getRowSet()
 	defer s.putRowSet(blockSet)
 	idxs := make([]uint32, 0, blockRows)
-	var fcScratch []byte
 	for start := 0; start < n; start += blockRows {
 		rows := min(blockRows, n-start)
-		sf.offs = append(sf.offs, w.n)
-		sf.fences = append(sf.fences, r.keys[start*rw:start*rw+rw]...)
-		if err := s.writeKeySection(w, &fcScratch, r.keys[start*rw:(start+rows)*rw], rows, fc); err != nil {
-			return nil, err
-		}
 		blockSet.Reset()
 		idxs = idxs[:0]
 		for i := 0; i < rows; i++ {
 			idxs = append(idxs, uint32(start+i))
 		}
 		blockSet.AppendRowsFrom(r.payload, idxs)
-		if _, err := blockSet.WriteTo(w); err != nil {
+		if err := bw.writeBlock(r.keys[start*rw:(start+rows)*rw], blockSet); err != nil {
 			return nil, err
 		}
 	}
-	return sf, nil
+	return bw.sf, nil
 }
 
 // runReader streams one run back from its spill file, one decoded block
@@ -483,11 +491,6 @@ type runReader struct {
 	served       bool
 	closed       bool
 	err          error
-}
-
-// openRunReader opens a full-run reader; see openRunReaderRange.
-func (s *Sorter) openRunReader(r *sortedRun, withCodes bool, codeWidth int, ow *obs.Worker, res *mem.Reservation) (*runReader, error) {
-	return s.openRunReaderRange(r, withCodes, codeWidth, ow, res, nil, nil, 0)
 }
 
 // openRunReaderRange opens a reader over r's rows, optionally bounded to
@@ -815,8 +818,7 @@ func (e *extMerge) close(remove bool) {
 // run in block-sized batches with the typed AppendRowsGather kernels. When
 // the sort is big enough and ExtMergeThreads allows, the merge itself is
 // partitioned across workers over disjoint key ranges (see extparallel.go);
-// otherwise it runs sequentially, reading every spilled byte exactly once,
-// versus O(n log k) for the cascaded pairwise merge.
+// otherwise it runs sequentially, reading every spilled byte exactly once.
 func (s *Sorter) externalFinalize() error {
 	if len(s.runs) == 0 {
 		return nil
@@ -935,10 +937,7 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 			s.mergeFanIn.Store(int64(len(ids)))
 			return ids, nil
 		}
-		var role func(i int) int
-		if s.opt.Adaptive {
-			role = func(i int) int { return int(s.runs[ids[i]].role) }
-		}
+		role := func(i int) int { return int(s.runs[ids[i]].role) }
 		next := make([]uint32, 0, (len(ids)+plan.FanIn-1)/plan.FanIn)
 		for _, span := range mergepath.BatchRuns(len(ids), plan.FanIn, role) {
 			batch := ids[span[0]:span[1]]
@@ -980,11 +979,10 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	defer func() { e.close(consumed) }()
 
 	// A merged run inherits its inputs' common merge role (mixed batches
-	// demote to normal) and, under Adaptive, keeps attempting front-coded
-	// spill blocks: writeKeySection re-samples every block of every
-	// generation, so the decision tracks what this merge actually produced
-	// rather than what the original runs looked like.
-	fc := s.opt.Adaptive
+	// demote to normal) and always attempts front-coded spill blocks:
+	// writeKeySection re-samples every block of every generation, so the
+	// decision tracks what this merge actually produced rather than what
+	// the original runs looked like.
 	role := s.runs[ids[0]].role
 	for _, id := range ids[1:] {
 		if s.runs[id].role != role {
@@ -992,8 +990,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 			break
 		}
 	}
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: e.anyTie, rows: e.total,
-		role: role, frontCode: fc}
+	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: e.anyTie, rows: e.total, role: role}
 	s.runs = append(s.runs, merged)
 
 	path, err := s.spillPath(merged.id)
@@ -1019,36 +1016,23 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	}
 	bw := bufio.NewWriter(f)
 	cw := &countingWriter{w: bw}
-	magic := uint32(spillMagic)
-	if fc {
-		magic = spillMagicFC
-	}
-	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.total))
-	if _, err := cw.Write(hdr[:]); err != nil {
+	out, err := s.newBlockWriter(cw, blockRows, e.total, true)
+	if err != nil {
 		return fail(err)
 	}
+	out.sf.path = path
 
-	sf := &spillFile{path: path, blockRows: blockRows}
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
 	e.dst = staging
 	keyBlock := make([]byte, 0, blockRows*rw)
-	var fcScratch []byte
 	outPos := 0
 	writeBlock := func() error {
 		if len(keyBlock) == 0 {
 			return nil
 		}
-		sf.offs = append(sf.offs, cw.n)
-		sf.fences = append(sf.fences, keyBlock[:rw]...)
-		if err := s.writeKeySection(cw, &fcScratch, keyBlock, len(keyBlock)/rw, fc); err != nil {
-			return err
-		}
 		e.flushPend()
-		if _, err := staging.WriteTo(cw); err != nil {
+		if err := out.writeBlock(keyBlock, staging); err != nil {
 			return err
 		}
 		staging.Reset()
@@ -1088,9 +1072,8 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 		return 0, err
 	}
 
-	s.spillWritten.Add(cw.n)
 	s.prog.SpillBytesWritten.Add(cw.n)
-	merged.spill = sf
+	merged.spill = out.sf
 	consumed = true
 	for _, id := range ids {
 		s.releaseRun(s.runs[id])
@@ -1098,149 +1081,8 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	st := e.m.Stats()
 	st.BytesMoved = uint64(outPos * rw)
 	s.mergeStats.Add(st)
-	s.mergePasses.Add(1)
 	s.prog.MergePasses.Add(1)
 	s.mergePassRuns.Add(int64(len(ids)))
 	s.mergePassBytes.Add(cw.n)
 	return merged.id, nil
-}
-
-// unspill reads the run back into memory (used by the cascaded ablation
-// path) and removes its file. ow is the calling worker's trace lane.
-func (r *sortedRun) unspill(s *Sorter, ow *obs.Worker) error {
-	if r.spill == nil {
-		return nil
-	}
-	rd, err := s.openRunReader(r, false, 0, ow, nil)
-	if err != nil {
-		return err
-	}
-	keys := make([]byte, 0, rd.numRows*s.rowWidth)
-	payload := s.getRowSet()
-	payload.Reserve(rd.numRows)
-	var idxs []uint32
-	for rd.next() {
-		keys = append(keys, rd.keys...)
-		n := rd.payload.Len()
-		if cap(idxs) < n {
-			idxs = make([]uint32, n)
-		}
-		idxs = idxs[:n]
-		for i := range idxs {
-			idxs[i] = uint32(i)
-		}
-		payload.AppendRowsFrom(rd.payload, idxs)
-	}
-	if rd.err != nil {
-		rd.close(false)
-		s.putRowSet(payload)
-		return rd.err
-	}
-	rd.close(true)
-	r.keys = keys
-	r.payload = payload
-	s.runRes.Grow(runBytes(r))
-	return nil
-}
-
-// externalFinalizeCascade is the ablation baseline (the previous design):
-// spilled runs merged pairwise with full unspill/re-spill of intermediates,
-// so each row's spill I/O is multiplied by the cascade depth. Kept for the
-// -exp merge ablation and as a reference implementation.
-func (s *Sorter) externalFinalizeCascade() error {
-	queue := make([]uint32, len(s.runs))
-	for i := range s.runs {
-		queue[i] = uint32(i)
-	}
-	if len(queue) == 0 {
-		return nil
-	}
-	mw := s.rec.Worker("merge")
-	msp := mw.Begin(obs.PhaseMerge)
-	defer msp.End()
-	for len(queue) > 1 {
-		a, b := s.runs[queue[0]], s.runs[queue[1]]
-		queue = queue[2:]
-		merged, err := s.mergeRunPair(a, b, mw)
-		if err != nil {
-			return err
-		}
-		queue = append(queue, merged.id)
-		if len(queue) > 1 {
-			// More merging ahead: push the result out of memory again.
-			if err := merged.spillTo(s, mw); err != nil {
-				return err
-			}
-		}
-	}
-	final := s.runs[queue[0]]
-	if final.spill != nil {
-		if err := final.unspill(s, mw); err != nil {
-			return err
-		}
-	}
-	s.finalKeys = final.keys
-	s.mergeStats.BytesMoved = uint64(len(final.keys))
-	return nil
-}
-
-// mergeRunPair loads two runs, merges their keys and payloads into a new
-// run (payload physically reordered, refs rewritten), registers it, and
-// releases the inputs. ow is the calling worker's trace lane.
-func (s *Sorter) mergeRunPair(a, b *sortedRun, ow *obs.Worker) (*sortedRun, error) {
-	for _, r := range []*sortedRun{a, b} {
-		if err := r.unspill(s, ow); err != nil {
-			return nil, err
-		}
-	}
-
-	var cmp mergepath.CompareFunc
-	if a.tieBreak || b.tieBreak {
-		cmp = s.comparator(func(runID, idx uint32) (*row.RowSet, int) {
-			return s.runs[runID].payload, int(idx)
-		})
-	} else {
-		kw := s.keyWidth
-		cmp = func(x, y []byte) int { return compareBytes(x[:kw], y[:kw]) }
-	}
-
-	mergedKeys := make([]byte, len(a.keys)+len(b.keys))
-	mergepath.ParallelMerge(mergedKeys,
-		mergepath.Run{Data: a.keys, Width: s.rowWidth},
-		mergepath.Run{Data: b.keys, Width: s.rowWidth},
-		cmp, s.opt.threads())
-
-	// Finalize already holds s.mu; run generation is over, so registering
-	// the merged run needs no further locking.
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: a.tieBreak || b.tieBreak}
-	s.runs = append(s.runs, merged)
-
-	// Reorder both payloads into the merged run with the batched permute:
-	// decode every reference once, rewrite it to the merged run, then move
-	// the rows (and compact the string heaps) with the typed kernels.
-	n := len(mergedKeys) / s.rowWidth
-	payloads := make([]*row.RowSet, len(s.runs))
-	for i, r := range s.runs {
-		payloads[i] = r.payload
-	}
-	which := make([]uint32, n)
-	idxs := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		keyRow := mergedKeys[i*s.rowWidth : (i+1)*s.rowWidth]
-		which[i], idxs[i] = s.getRef(keyRow)
-		s.putRef(keyRow, merged.id, uint32(i))
-	}
-	payload := s.getRowSet()
-	payload.Reserve(n)
-	payload.AppendRowsGather(payloads, which, idxs)
-	merged.keys = mergedKeys
-	merged.payload = payload
-	merged.rows = n
-	s.prog.RowsMerged.Add(int64(n))
-	s.runRes.Grow(runBytes(merged))
-
-	// Release the inputs into the pools.
-	s.releaseRun(a)
-	s.releaseRun(b)
-	return merged, nil
 }

@@ -46,8 +46,8 @@ type SortStats struct {
 	// shared prefixes did not cover (dictionary escape codes and
 	// shared-prefix class-0/2 encodings).
 	DictEscapes int64
-	// RunsGroupSorted counts runs sorted via duplicate-run grouping
-	// (KeyCompRLE); DupGroupRows is the rows those runs did not move
+	// RunsGroupSorted counts runs the strategy planner sorted via
+	// duplicate-run grouping; DupGroupRows is the rows those runs did not move
 	// through the radix sort individually (run rows minus groups).
 	RunsGroupSorted int64
 	DupGroupRows    int64
@@ -56,17 +56,17 @@ type SortStats struct {
 	RunsTieRepaired int64
 	// StrategyDecisions records, per generated run, the execution-plan
 	// choice and the sampled statistics it came from. Populated on every
-	// path (non-adaptive runs record their dictated choice with Forced
-	// set), so the log always explains what ran and why.
+	// path (runs whose sort was dictated by a tie-break or ForcePdqsort
+	// record it with Forced set), so the log always explains what ran and
+	// why.
 	StrategyDecisions []StrategyDecision
 	// SpillBlocksFrontCoded counts spill blocks whose key section was
-	// written front-coded (adaptive sorts; blocks that would not shrink
-	// stay raw and are not counted).
+	// written front-coded (blocks that would not shrink stay raw and are
+	// not counted).
 	SpillBlocksFrontCoded int64
 	// SpillBytesWritten and SpillBytesRead account spill-file I/O. The
-	// streaming merge reads every spilled byte exactly once, so after
-	// Finalize read equals written; the cascaded ablation re-spills
-	// intermediates and reads a multiple.
+	// sequential streaming merge reads every spilled byte exactly once, so
+	// after Finalize read equals written.
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	// SpillFilesRemoved counts spill files successfully deleted (during the
@@ -141,9 +141,10 @@ type KeyEncodingStat struct {
 // Stats snapshots the sorter's telemetry. It is safe to call at any point
 // in the sorter's life, including concurrently with ingestion.
 func (s *Sorter) Stats() SortStats {
+	p := s.prog
 	st := SortStats{
-		RowsIngested:          s.rowsIn.Load(),
-		RunsGenerated:         s.runsGen.Load(),
+		RowsIngested:          p.RowsIngested.Load(),
+		RunsGenerated:         p.RunsGenerated.Load(),
 		NormKeyBytes:          s.normKeyBytes.Load(),
 		PhysKeyBytes:          s.physKeyBytes.Load(),
 		DictEscapes:           s.dictEscapes.Load(),
@@ -151,19 +152,19 @@ func (s *Sorter) Stats() SortStats {
 		DupGroupRows:          s.dupGroupRows.Load(),
 		RunsTieRepaired:       s.runsTieRepaired.Load(),
 		SpillBlocksFrontCoded: s.spillBlocksFC.Load(),
-		SpillBytesWritten:     s.spillWritten.Load(),
-		SpillBytesRead:        s.spillRead.Load(),
+		SpillBytesWritten:     p.SpillBytesWritten.Load(),
+		SpillBytesRead:        p.SpillBytesRead.Load(),
 		SpillFilesRemoved:     s.spillRemoved.Load(),
 		SpillRemoveErrors:     s.spillRemoveErrs.Load(),
 		GatherBytesMoved:      s.gatherBytes.Load(),
 		PeakResidentRunBytes:  s.broker.Peak(),
 		MemoryLimit:           s.opt.MemoryLimit,
 		MemoryPressureEvents:  s.broker.PressureEvents(),
-		PressureSpills:        s.pressureSpills.Load(),
-		PrefetchedBlocks:      s.prefetchBlocks.Load(),
-		PrefetchHits:          s.prefetchHits.Load(),
+		PressureSpills:        p.PressureSpills.Load(),
+		PrefetchedBlocks:      p.PrefetchedBlocks.Load(),
+		PrefetchHits:          p.PrefetchHits.Load(),
 		MergeStall:            time.Duration(s.prefetchStallNs.Load()),
-		MergePasses:           s.mergePasses.Load(),
+		MergePasses:           p.MergePasses.Load(),
 		MergePassRuns:         s.mergePassRuns.Load(),
 		MergePassBytes:        s.mergePassBytes.Load(),
 		MergeFanIn:            s.mergeFanIn.Load(),

@@ -315,3 +315,31 @@ func TestTraceFromSpillingSort(t *testing.T) {
 		}
 	}
 }
+
+// TestTopNRegistryCountsIngest checks a Top-N sort's live registry entry
+// counts the rows it ingests: the snapshot and Stats read the same counter.
+func TestTopNRegistryCountsIngest(t *testing.T) {
+	tbl := workload.CatalogSales(4_096, 10, 8)
+	reg := obs.NewRegistry(0)
+	top, err := NewTopN(tbl.Schema, []SortColumn{{Column: 3}}, 10,
+		Options{Registry: reg, RunLabel: "topn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tbl.Chunks {
+		if err := top.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 {
+		t.Fatalf("registry holds %d runs, want 1", len(snaps))
+	}
+	st := top.Stats()
+	if st.RowsIngested != 4_096 {
+		t.Fatalf("Stats().RowsIngested = %d, want 4096", st.RowsIngested)
+	}
+	if got := snaps[0].Counters.RowsIngested; got != st.RowsIngested {
+		t.Fatalf("registry rows_ingested = %d, Stats().RowsIngested = %d", got, st.RowsIngested)
+	}
+}

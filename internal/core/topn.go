@@ -79,7 +79,7 @@ func (t *TopN) Append(c *vector.Chunk) error {
 	s.markStart()
 	sp := t.ow.Begin(obs.PhaseIngest)
 	defer sp.End()
-	s.rowsIn.Add(int64(n))
+	s.prog.RowsIngested.Add(int64(n))
 	if t.h.cmp == nil {
 		t.h.cmp = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return t.payload, int(idx) })
 	}

@@ -46,7 +46,8 @@ func (st Stage) String() string {
 // may read at any time. It is the always-on companion to the span-recording
 // Recorder — a sorter owns exactly one Progress for its whole life, so the
 // steady-state publishing cost is an atomic add per chunk, with no
-// allocation and no locks.
+// allocation and no locks. The sorter keeps no other copy of these counts:
+// its SortStats snapshot reads them back from here.
 //
 // All fields are monotonically non-decreasing. Access them only through
 // their atomic methods (Load/Store/Add) — the atomicfield analyzer flags
@@ -70,7 +71,7 @@ type Progress struct {
 	RowsSorted atomic.Int64
 	// RunsGenerated counts thread-local sorted runs cut.
 	RunsGenerated atomic.Int64
-	// SpillBytesWritten and SpillBytesRead mirror the sorter's spill I/O
+	// SpillBytesWritten and SpillBytesRead are the sorter's spill I/O
 	// accounting (write granularity: one flushed file or block).
 	SpillBytesWritten atomic.Int64
 	SpillBytesRead    atomic.Int64
@@ -86,7 +87,7 @@ type Progress struct {
 	MergePasses atomic.Int64
 	// RowsGathered counts rows materialized back into columnar chunks.
 	RowsGathered atomic.Int64
-	// PrefetchedBlocks and PrefetchHits mirror the spill read-ahead
+	// PrefetchedBlocks and PrefetchHits are the spill read-ahead
 	// counters; PressureSpills counts runs shed to disk under memory
 	// pressure.
 	PrefetchedBlocks atomic.Int64

@@ -12,8 +12,12 @@ type StrategyDecision struct {
 	// Algo is the executed run-generation sort ("lsd-radix", "msd-radix",
 	// "pdqsort", "dup-group", "radix+repair").
 	Algo string `json:"algo"`
-	// Forced, when non-empty, names why the plan was dictated rather than
-	// sampled ("tie-break", "option", "static", "dup-group-miss").
+	// Forced, when non-empty, names why the executed sort differs from a
+	// sampled plan: "tie-break" (string prefixes may tie, so pdqsort or
+	// radix+repair ran unplanned), "option" (ForcePdqsort overrode the
+	// plan), or "dup-group-miss" (the planned duplicate-group sort found
+	// too few groups in the full run and fell back to radix; its sampled
+	// statistics are kept).
 	Forced string `json:"forced,omitempty"`
 	// MergeRole is the run's merge-scheduling hint ("normal", "dup-heavy",
 	// "presorted"); empty when no plan was sampled.

@@ -59,7 +59,7 @@ type Stats struct {
 // Sort is STABLE: rows with byte-equal key prefixes keep their input order.
 // Every default path preserves order — LSD and MSD scatter with counting
 // sort, and the insertion fallback only moves strictly-smaller rows. The
-// duplicate-group run sort (sortalgo.CollectDupGroups) relies on this to
+// duplicate-group run sort (sortalgo.CollectDupGroupsMin) relies on this to
 // make grouped sorting byte-identical to sorting row-at-a-time. The one
 // exception is the opt-in Options.PdqCutoff hybrid, which hands buckets to
 // an unstable pdqsort.

@@ -22,21 +22,14 @@ import (
 // ride through the byte sort untouched, like any row payload.
 const GroupTagBytes = 8
 
-// CollectDupGroups scans the run for adjacent groups of rows byte-equal on
-// their keyWidth prefix and, when the run is duplicate-heavy enough to
-// profit (average group size of at least two), returns one representative
-// row per group: the group's key prefix followed by its start index and row
-// count. ok is false when grouping would not pay, including runs too large
-// for 32-bit tags.
-func CollectDupGroups(data []byte, rowWidth, keyWidth int) (reps []byte, groups int, ok bool) {
-	return CollectDupGroupsMin(data, rowWidth, keyWidth, 2)
-}
-
-// CollectDupGroupsMin is CollectDupGroups with a caller-chosen payoff bar:
-// grouping proceeds only while the adjacent groups average at least minAvg
-// rows each. A sampled planner that is confident the run is duplicate-heavy
-// can relax the bar below the historical two; minAvg <= 1 accepts any
-// grouping.
+// CollectDupGroupsMin scans the run for adjacent groups of rows byte-equal
+// on their keyWidth prefix and, when the run is duplicate-heavy enough to
+// profit (adjacent groups averaging at least minAvg rows each), returns one
+// representative row per group: the group's key prefix followed by its
+// start index and row count. ok is false when grouping would not pay,
+// including runs too large for 32-bit tags. A sampled planner that is
+// confident the run is duplicate-heavy can relax the bar below two;
+// minAvg <= 1 accepts any grouping.
 func CollectDupGroupsMin(data []byte, rowWidth, keyWidth int, minAvg float64) (reps []byte, groups int, ok bool) {
 	n := len(data) / rowWidth
 	if n < 2 || keyWidth <= 0 || n > 1<<31 {

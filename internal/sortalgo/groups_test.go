@@ -35,7 +35,7 @@ func TestDupGroupsMatchStableSort(t *testing.T) {
 		stableByKey(data, rowWidth, keyWidth)
 		want := append([]byte(nil), data...)
 
-		reps, groups, ok := CollectDupGroups(data, rowWidth, keyWidth)
+		reps, groups, ok := CollectDupGroupsMin(data, rowWidth, keyWidth, 2)
 		if !ok {
 			t.Fatalf("n=%d domain=%d: expected grouping to engage", tc.n, tc.domain)
 		}
@@ -63,10 +63,10 @@ func TestDupGroupsDeclineSparse(t *testing.T) {
 	const rowWidth, keyWidth = 16, 4
 	// Near-unique keys: grouping cannot pay and must decline.
 	data := dupRows(4000, rowWidth, keyWidth, 1<<31, rng)
-	if _, _, ok := CollectDupGroups(data, rowWidth, keyWidth); ok {
+	if _, _, ok := CollectDupGroupsMin(data, rowWidth, keyWidth, 2); ok {
 		t.Fatal("grouping engaged on near-unique keys")
 	}
-	if _, _, ok := CollectDupGroups(data[:rowWidth], rowWidth, keyWidth); ok {
+	if _, _, ok := CollectDupGroupsMin(data[:rowWidth], rowWidth, keyWidth, 2); ok {
 		t.Fatal("grouping engaged on a single row")
 	}
 }

@@ -192,44 +192,6 @@ func TestPlanDegenerate(t *testing.T) {
 	}
 }
 
-// Fallback rule ports of the original core heuristic tests.
-
-func TestChooseRadixFallback(t *testing.T) {
-	rng := workload.NewRNG(140)
-	n := 1 << 14
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = rng.Uint32()
-	}
-	if !ChooseRadix(buildKeyRows(vals, 8), 8, 4, n) {
-		t.Fatal("random 4-byte keys should pick radix")
-	}
-	for i := range vals {
-		vals[i] = uint32(i)
-	}
-	if ChooseRadix(buildKeyRows(vals, 8), 8, 4, n) {
-		t.Fatal("sorted input should pick pdqsort (pattern detection)")
-	}
-	if !ChooseRadix(nil, 8, 4, 0) || !ChooseRadix(make([]byte, 8), 8, 4, 1) {
-		t.Fatal("degenerate inputs should default to radix")
-	}
-	keys := make([]byte, 1000*8)
-	if !ChooseRadix(keys, 8, 4, 1000) {
-		t.Fatal("all-equal keys should pick radix (single skip pass)")
-	}
-}
-
-func TestSampleDistinctKeys(t *testing.T) {
-	vals := make([]uint32, 1000)
-	for i := range vals {
-		vals[i] = uint32(i % 3)
-	}
-	keys := buildKeyRows(vals, 8)
-	if got := SampleDistinctKeys(keys, 8, 4, 1000); got != 3 {
-		t.Fatalf("distinct estimate = %d, want 3", got)
-	}
-}
-
 func TestAnalyzeAllocs(t *testing.T) {
 	n := 1 << 14
 	rng := workload.NewRNG(19)
