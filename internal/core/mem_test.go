@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/row"
 	"rowsort/internal/vector"
+	"rowsort/internal/workload"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -358,6 +361,145 @@ func TestStreamingRowsSingleUse(t *testing.T) {
 	}
 	if used := broker.Used(); used != 0 {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
+	}
+}
+
+// TestFinalizeDrainsPools pins the pools' lifetime: once Finalize starts
+// no run is cut again, so a spilled budgeted sort holds no idle pooled
+// bytes after it — they would only shrink the merge's budget — and buffers
+// its merge frees are not parked either.
+func TestFinalizeDrainsPools(t *testing.T) {
+	tbl := mixedTable(6*vector.DefaultVectorSize+123, 95)
+	s, err := NewSorter(tbl.Schema, mergeTestKeys, Options{Threads: 1, RunSize: 900, MemoryLimit: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.PressureSpills == 0 {
+		t.Fatalf("64KiB budget forced no pressure spills: %+v", st)
+	}
+	if got := s.poolRes.Bytes(); got != 0 {
+		t.Errorf("pools hold %d bytes after Finalize, want 0", got)
+	}
+	if _, err := s.ResultScalar(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.poolRes.Bytes(); got != 0 {
+		t.Errorf("pools hold %d bytes after the streamed merge, want 0", got)
+	}
+}
+
+// twoSinkSort sorts tbl through two sinks fed round-robin from one
+// goroutine (so run cuts are deterministic) and returns the result, its
+// stats, and the broker balance left after Close.
+func twoSinkSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) (*vector.Table, SortStats, int64) {
+	t.Helper()
+	s, err := NewSorter(tbl.Schema, keys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sinks := []*Sink{s.NewSink(), s.NewSink()}
+	for i, c := range tbl.Chunks {
+		if err := sinks[i%2].Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range sinks {
+		if err := k.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.ResultScalar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out, st, s.broker.Used()
+}
+
+// sameRowsUpToTies reports whether got and want hold the same rows with
+// the same sort-key values at every position. Rows whose keys tie may
+// appear in either order: rows of two sinks have no defined order among
+// equals, so sorts that cut their runs at different points interleave them
+// differently.
+func sameRowsUpToTies(got, want *row.RowSet, keys []SortColumn) bool {
+	if got.Len() != want.Len() {
+		return false
+	}
+	sameKeys := func(a *row.RowSet, i int, b *row.RowSet, j int) bool {
+		for _, k := range keys {
+			if a.Value(i, k.Column) != b.Value(j, k.Column) {
+				return false
+			}
+		}
+		return true
+	}
+	var gotGroup, wantGroup []string
+	for lo := 0; lo < want.Len(); {
+		gotGroup, wantGroup = gotGroup[:0], wantGroup[:0]
+		hi := lo
+		for ; hi < want.Len() && sameKeys(want, hi, want, lo); hi++ {
+			if !sameKeys(got, hi, want, lo) {
+				return false
+			}
+			gotGroup = append(gotGroup, string(got.Row(hi)))
+			wantGroup = append(wantGroup, string(want.Row(hi)))
+		}
+		slices.Sort(gotGroup)
+		slices.Sort(wantGroup)
+		if !slices.Equal(gotGroup, wantGroup) {
+			return false
+		}
+		lo = hi
+	}
+	return true
+}
+
+// TestBudgetedSortMergesInOnePass sorts catalog_sales at about a fifth of
+// its unlimited footprint. Idle pooled buffers must yield to the budget —
+// drained before a pressure cut, closed at Finalize — so they neither
+// force short runs nor hide the remaining budget from the merge planner:
+// the final merge streams every run at once, with no fan-in reduction
+// pass.
+func TestBudgetedSortMergesInOnePass(t *testing.T) {
+	tbl := workload.CatalogSales(1<<18, 10, 7)
+	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
+	want, _, _ := twoSinkSort(t, tbl, keys, Options{Threads: 2})
+	wantRows := rowify(t, want)
+	for rep := 0; rep < 3; rep++ {
+		got, st, used := twoSinkSort(t, tbl, keys, Options{Threads: 2, MemoryLimit: 4 << 20})
+		if st.PressureSpills == 0 {
+			t.Fatalf("rep %d: 4MiB budget forced no pressure spills", rep)
+		}
+		if st.MergePasses != 0 {
+			t.Errorf("rep %d: %d fan-in merge passes over %d runs (final fan-in %d), want 0",
+				rep, st.MergePasses, st.RunsGenerated, st.MergeFanIn)
+		}
+		if !sameRowsUpToTies(rowify(t, got), wantRows, keys) {
+			t.Errorf("rep %d: budgeted output differs from the unlimited sort", rep)
+		}
+		if used != 0 {
+			t.Errorf("rep %d: broker holds %d bytes after Close, want 0", rep, used)
+		}
 	}
 }
 

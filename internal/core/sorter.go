@@ -71,7 +71,8 @@ type Sorter struct {
 	// merge block buffers through per-merge reservations. The broker's
 	// high-water mark feeds SortStats.PeakResidentRunBytes; crossing the
 	// budget fires the pressure subscription, which flips pressured so
-	// sinks cut their pending runs early and shed resident runs to disk.
+	// sinks drain the pools and, if that is not enough, cut their pending
+	// runs early and shed resident runs to disk. Finalize closes the pools.
 	broker    *mem.Broker
 	runRes    *mem.Reservation // resident sorted runs (keys + payload capacity)
 	poolRes   *mem.Reservation // recycled buffers parked in the pools
@@ -155,6 +156,17 @@ func (s *Sorter) putRowSet(rs *row.RowSet) {
 		return
 	}
 	s.sets.Put(rs)
+}
+
+// overBudgetAfterDrain drops every idle buffer parked in the pools, handing
+// its bytes back to the budget, and reports whether the broker is still
+// over budget. Pooled buffers are idle capacity: they go before a run is
+// cut early or a resident run is spilled. (Never call it from the pressure
+// subscription: the pools charge their reservation under their own lock.)
+func (s *Sorter) overBudgetAfterDrain() bool {
+	s.keyBufs.Drain()
+	s.sets.Drain()
+	return s.broker.OverBudget()
 }
 
 // sortedRun is one thread-local sorted run: sorted key rows plus the
@@ -408,10 +420,11 @@ func (k *Sink) Append(c *vector.Chunk) error {
 
 	// Cut the run at the configured size — or early, when the broker
 	// reports pressure (this sink's growth pushed past the budget, or any
-	// sharer of the broker did): a cut run is something the pressure
-	// spiller can shed to disk, a pending one is not.
+	// sharer of the broker did) that draining the idle pools does not
+	// relieve: a cut run is something the pressure spiller can shed to
+	// disk, a pending one is not.
 	if k.n >= s.opt.runSize() ||
-		(s.opt.limited() && (overBudget || s.pressured.Swap(false))) {
+		(s.opt.limited() && (overBudget || s.pressured.Swap(false)) && s.overBudgetAfterDrain()) {
 		return k.flush()
 	}
 	return nil
@@ -875,6 +888,10 @@ func (s *Sorter) Finalize() error {
 // finalizeLocked is Finalize's body, run under s.mu and the merge pprof
 // label.
 func (s *Sorter) finalizeLocked() error {
+	// Every sink is closed, so no run is cut again: from here on freed
+	// buffers go to the GC instead of parking against the merge's budget.
+	s.keyBufs.Close()
+	s.sets.Close()
 	anySpilled := false
 	for _, r := range s.runs {
 		anySpilled = anySpilled || r.spill != nil

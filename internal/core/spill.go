@@ -241,10 +241,14 @@ func (s *Sorter) spillRun(r *sortedRun, ow *obs.Worker) error {
 	return err
 }
 
-// spillUnderPressure sheds resident runs to disk, largest first, until the
-// broker is back under budget (or nothing spillable is left). Multiple
-// sinks may shed concurrently; each claims runs under s.mu.
+// spillUnderPressure drains the idle pools and then, if the broker is still
+// over budget, sheds resident runs to disk, largest first, until it is back
+// under budget (or nothing spillable is left). Multiple sinks may shed
+// concurrently; each claims runs under s.mu.
 func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
+	if !s.overBudgetAfterDrain() {
+		return nil
+	}
 	sp := ow.Begin(obs.PhasePressureSpill)
 	defer sp.End()
 	for s.broker.OverBudget() {

@@ -2,6 +2,7 @@ package row
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"rowsort/internal/mem"
@@ -159,4 +160,132 @@ func TestNilPools(t *testing.T) {
 		t.Fatal("nil BufPool.Get returned a buffer")
 	}
 	bp.Put(make([]byte, 4))
+}
+
+// filledSet returns a set of layout holding n rows, so its capacity is
+// nonzero.
+func filledSet(t *testing.T, layout *Layout, n int) *RowSet {
+	t.Helper()
+	rs := NewRowSet(layout)
+	if err := rs.AppendChunk([]*vector.Vector{vector.NewDense(vector.Int64, n)}); err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestPoolDrain pins Drain: every parked item goes, the reservation
+// returns to zero, and the pool keeps recycling afterwards.
+func TestPoolDrain(t *testing.T) {
+	b := mem.NewBroker("test", 1<<30)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	layout := NewLayout([]vector.Type{vector.Int64})
+	sets := NewSetPool(layout, res)
+	bufs := NewBufPool(res)
+	for i := 0; i < 4; i++ {
+		sets.Put(filledSet(t, layout, 256))
+		bufs.Put(make([]byte, 0, 4096))
+	}
+	if res.Bytes() == 0 {
+		t.Fatal("pools charged nothing for parked items")
+	}
+	sets.Drain()
+	bufs.Drain()
+	if got := res.Bytes(); got != 0 || b.Used() != 0 {
+		t.Fatalf("drained pools still charge %d bytes (broker %d)", got, b.Used())
+	}
+	if cap(bufs.Get()) != 0 {
+		t.Fatal("drained BufPool handed out a parked buffer")
+	}
+	buf := make([]byte, 0, 100)
+	bufs.Put(buf)
+	if got := res.Bytes(); got != 100 {
+		t.Fatalf("Put after Drain charged %d bytes, want 100", got)
+	}
+	if cap(bufs.Get()) != 100 {
+		t.Fatal("BufPool stopped recycling after Drain")
+	}
+}
+
+// TestPoolClose pins Close: it drains, later Puts park nothing and charge
+// nothing, and Get still hands out a usable empty set or buffer.
+func TestPoolClose(t *testing.T) {
+	b := mem.NewBroker("test", 1<<30)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	layout := NewLayout([]vector.Type{vector.Int64})
+	sets := NewSetPool(layout, res)
+	bufs := NewBufPool(res)
+	sets.Put(filledSet(t, layout, 256))
+	bufs.Put(make([]byte, 0, 4096))
+	sets.Close()
+	bufs.Close()
+	if got := res.Bytes(); got != 0 {
+		t.Fatalf("closed pools still charge %d bytes", got)
+	}
+	parked := filledSet(t, layout, 256)
+	sets.Put(parked)
+	bufs.Put(make([]byte, 0, 4096))
+	if got := res.Bytes(); got != 0 || b.Used() != 0 {
+		t.Fatalf("Put after Close charged %d bytes (broker %d)", got, b.Used())
+	}
+
+	rs := sets.Get()
+	if rs == nil || rs == parked || rs.Len() != 0 || rs.Layout() != layout {
+		t.Fatalf("Get after Close returned %v, want a fresh empty set of the pool's layout", rs)
+	}
+	if err := rs.AppendChunk([]*vector.Vector{vector.NewDense(vector.Int64, 8)}); err != nil || rs.Len() != 8 {
+		t.Fatalf("set from a closed pool is unusable: len %d, err %v", rs.Len(), err)
+	}
+	if buf := bufs.Get(); len(buf) != 0 || cap(buf) != 0 {
+		t.Fatalf("Get after Close returned len %d cap %d, want an empty buffer", len(buf), cap(buf))
+	}
+	var nilSets *SetPool
+	var nilBufs *BufPool
+	nilSets.Drain()
+	nilSets.Close()
+	nilBufs.Drain()
+	nilBufs.Close()
+}
+
+// TestPoolDrainRaces drains the pools while other goroutines Put and Get;
+// under -race this proves Drain shares the free list's lock. Once every
+// goroutine is done, a final Drain leaves nothing charged.
+func TestPoolDrainRaces(t *testing.T) {
+	b := mem.NewBroker("test", 1<<30)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	layout := NewLayout([]vector.Type{vector.Int64})
+	sets := NewSetPool(layout, res)
+	bufs := NewBufPool(res)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rs := sets.Get()
+				if err := rs.AppendChunk([]*vector.Vector{vector.NewDense(vector.Int64, 16)}); err != nil {
+					t.Error(err)
+					return
+				}
+				sets.Put(rs)
+				bufs.Put(append(bufs.Get(), make([]byte, 64)...))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			sets.Drain()
+			bufs.Drain()
+		}
+	}()
+	wg.Wait()
+	sets.Drain()
+	bufs.Drain()
+	if got := res.Bytes(); got != 0 || b.Used() != 0 {
+		t.Fatalf("pools charge %d bytes (broker %d) after the final Drain", got, b.Used())
+	}
 }
